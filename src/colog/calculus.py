@@ -266,25 +266,31 @@ def weakening_deleted_overgroups(c: Cirquent, r: Weakening) -> tuple[int, ...]:
     )
 
 
+def _widen(group: frozenset[int], a: int) -> frozenset[int]:
+    """A group after oformula a is split in two at a, a + 1: it keeps both
+    halves if it held a."""
+    g = _shift_after_insert(group, a + 1)
+    if a in g:
+        g |= {a + 1}
+    return g
+
+
+def _split_oformula(c: Cirquent, a: int, halves: tuple[Formula, Formula]) -> Cirquent:
+    """Oformula a replaced by two halves that every group holding it holds."""
+    return Cirquent(
+        _replace(c.oformulas, a, halves),
+        tuple(_widen(g, a) for g in c.undergroups),
+        tuple(_widen(g, a) for g in c.overgroups),
+    )
+
+
 def _premise_contraction(c: Cirquent, r: Contraction) -> Cirquent:
     a = r.oformula
     _check_range(a, len(c.oformulas), "oformula")
     f = c.oformulas[a - 1]
     if not isinstance(f, CCoRec):
         raise RuleError(f"contraction target must be a ?c formula, got {serialize_formula(f)}")
-    oformulas = _replace(c.oformulas, a, (f, f))
-
-    def widen(group):
-        g = _shift_after_insert(group, a + 1)
-        if a in g:
-            g |= {a + 1}
-        return g
-
-    return Cirquent(
-        oformulas,
-        tuple(widen(g) for g in c.undergroups),
-        tuple(widen(g) for g in c.overgroups),
-    )
+    return _split_oformula(c, a, (f, f))
 
 
 def _premise_or_intro(c: Cirquent, r: OrIntro) -> Cirquent:
@@ -293,19 +299,7 @@ def _premise_or_intro(c: Cirquent, r: OrIntro) -> Cirquent:
     f = c.oformulas[a - 1]
     if not isinstance(f, Or):
         raise RuleError(f"or-intro target must be a disjunction, got {serialize_formula(f)}")
-    oformulas = _replace(c.oformulas, a, (f.left, f.right))
-
-    def widen(group):
-        g = _shift_after_insert(group, a + 1)
-        if a in g:
-            g |= {a + 1}
-        return g
-
-    return Cirquent(
-        oformulas,
-        tuple(widen(g) for g in c.undergroups),
-        tuple(widen(g) for g in c.overgroups),
-    )
+    return _split_oformula(c, a, (f.left, f.right))
 
 
 def _premise_and_intro(c: Cirquent, r: AndIntro) -> Cirquent:
@@ -323,14 +317,7 @@ def _premise_and_intro(c: Cirquent, r: AndIntro) -> Cirquent:
             unders.append((shifted - {a}) | {a + 1})  # keeps the right conjunct
         else:
             unders.append(shifted)
-
-    def widen(group):
-        g = _shift_after_insert(group, a + 1)
-        if a in g:
-            g |= {a + 1}
-        return g
-
-    return Cirquent(oformulas, tuple(unders), tuple(widen(g) for g in c.overgroups))
+    return Cirquent(oformulas, tuple(unders), tuple(_widen(g, a) for g in c.overgroups))
 
 
 def _premise_rec_intro(c: Cirquent, r: RecIntro) -> Cirquent:

@@ -53,11 +53,11 @@ def parse_interpretation(text: str) -> kernel.Interpretation:
     return itp
 
 
-def _default_interpretation(game: kernel.GameExpr) -> kernel.Interpretation:
+def _atom_names(game: kernel.GameExpr) -> list[str]:
     names = syntax.atoms_of(game) if not isinstance(game, kernel.CirquentGame) else frozenset(
         n for f in game.cirquent.oformulas for n in syntax.atoms_of(f)
     )
-    return {name: kernel.enumeration_game() for name in sorted(names)}
+    return sorted(names)
 
 
 def _read(path: str) -> str:
@@ -69,8 +69,12 @@ def _read(path: str) -> str:
 
 def _load_interp(path: str | None, game) -> kernel.Interpretation:
     if path is None:
-        return _default_interpretation(game)
-    return parse_interpretation(_read(path))
+        return {name: kernel.enumeration_game() for name in _atom_names(game)}
+    itp = parse_interpretation(_read(path))
+    missing = [name for name in _atom_names(game) if name not in itp]
+    if missing:
+        raise CliError(f"{path}: interpretation does not cover atom {', '.join(missing)}")
+    return itp
 
 
 def _load_game(spec: str) -> kernel.GameExpr:
@@ -175,8 +179,7 @@ def cmd_simulate(args) -> int:
     print("trace:")
     if result.trace:
         print(result.trace_lines())
-    who = kernel.winner(game, itp, result.run)
-    legal = kernel.legal_run(game, itp, result.run)
+    legal, who = kernel.adjudicate(game, itp, result.run)
     print(f"legal: {'yes' if legal else 'no'}")
     print(f"winner: {who}")
     return 0 if who is kernel.TOP else 1

@@ -35,7 +35,6 @@ from .syntax import (
     Or,
     UCoRec,
     URec,
-    negate,
 )
 
 
@@ -231,24 +230,13 @@ def thread_projections(g: Iterable[Labmove]) -> list[Run]:
             continue
         parsed.append((t[0], Labmove(lm.player, t[1])))
         used.append(t[0])
-    out = []
-    for addr in class_addresses(used):
-        k = len(addr)
-        out.append(
-            tuple(
-                stripped
-                for w, stripped in parsed
-                if (addr.startswith(w) if len(w) <= k
-                    else w.startswith(addr) and w[k:].strip("0") == "")
-            )
-        )
-    return out
-
-
-def _picks(addr: str, u: str) -> bool:
-    """Is a move at coordinate ``u`` selected by the class of ``addr``?"""
-    return (addr.startswith(u) if len(u) <= len(addr)
-            else u.startswith(addr) and u[len(addr):].strip("0") == "")
+    # every used address lies in the prefix closure that class_addresses
+    # builds, so none extends a class address: the class of addr selects a
+    # move exactly when the move's address is a prefix of addr
+    return [
+        tuple(stripped for w, stripped in parsed if addr.startswith(w))
+        for addr in class_addresses(used)
+    ]
 
 
 def cells_projections(
@@ -277,7 +265,7 @@ def cells_projections(
     for xs in itertools.product(*(class_addresses(us) for us in per_coord)):
         picked = frozenset(
             coords for coords in used
-            if all(_picks(addr, u) for u, addr in zip(coords, xs))
+            if all(addr.startswith(u) for u, addr in zip(coords, xs))
         )
         projs = shared.get(picked)
         if projs is None:
@@ -468,12 +456,6 @@ class CirquentGame:
 
 
 GameExpr = Formula | CirquentGame
-
-
-def negate_expr(g: GameExpr) -> GameExpr:
-    if isinstance(g, CirquentGame):
-        raise TypeError("cirquent games have no negation normal form")
-    return negate(g)
 
 
 def _atom_game(itp: Interpretation, name: str) -> FiniteAtomGame:

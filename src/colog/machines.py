@@ -8,12 +8,16 @@ block.  Environments answer grants with zero or more BOT moves and are
 likewise pure functions of (history, grant number), so every simulation is
 replayable bit for bit.
 
-The translator and router bases below implement "imaginary play": an outer
-machine re-derives the inner machine's whole session from its own history by
-replaying translated environment moves, then emits whatever translated inner
-moves are not on the real tape yet.  Incremental caches keep the replay
-linear per new event; behaviorally everything remains a pure function of the
-history (a cache miss falls back to a full replay with identical output).
+The replay contract: a machine's answer is a pure function of the history it
+is asked about.  ``ReplayMachine`` is the one base that keeps this contract
+cheap.  It folds the tape one labmove at a time and caches the fold over the
+last history it was asked about.  A history that extends that one costs only
+its new labmoves; any other history restarts the fold from the empty tape,
+with fresh inner machines, so the answer never depends on the order of
+queries.  ``DueMachine`` (a fold of owed responses), ``Translator`` and
+``Router`` ("imaginary play": inner machines re-run on tapes derived from
+the real one, their moves translated back) and the thread promotion of
+``strategies`` are all built on it.
 """
 
 from __future__ import annotations
@@ -58,59 +62,125 @@ class MachineStrategy:
         return f"<{type(self).__name__} {self.name}>"
 
 
-def _emitted(history: Run) -> list[str]:
-    return [lm.move for lm in history if lm.player is TOP]
+class ReplayMachine(MachineStrategy):
+    """A machine whose answer is a fold over its run tape, cached per history.
+
+    A query whose history extends the last one folds only the new labmoves;
+    any other history restarts from the empty tape.  The fold's hooks are
+    ``_start`` (play on the empty tape), ``respond(state, lm)`` (absorb one
+    environment labmove and return the real moves it makes owed) and
+    ``_settle`` (run once a query has started the fold or absorbed a
+    labmove).  The owed moves accumulate in order; the machine's own moves
+    on the tape must be a prefix of them, and the rest is the answer (its
+    first move only under EPM discipline).
+    """
+
+    def __init__(self):
+        self._seen = 0  # length of the history folded so far
+        self._prefix: Run = ()  # that history
+        self._out: list[str] = []  # real moves owed, in emission order
+        self._emitted = 0  # how many of them are on the tape
+        self._fold = self.initial_state()
+
+    def initial_state(self):
+        """The fold's state on the empty tape."""
+        return None
+
+    def respond(self, state, lm: Labmove) -> Iterable[str]:
+        raise NotImplementedError
+
+    def _start(self):
+        """Play on the empty tape, before any labmove is absorbed."""
+
+    def _settle(self):
+        """Finish a query that started the fold or absorbed a labmove."""
+
+    def _restart(self):
+        """Forget the fold; machines with inner machines also refresh them."""
+        ReplayMachine.__init__(self)
+
+    def _answer(self, history: Run) -> tuple[str, ...]:
+        seen = self._seen
+        if seen > len(history) or history[:seen] != self._prefix:
+            self._restart()
+            seen = 0
+        self._seen = len(history)
+        self._prefix = history
+        return self._replay(history, seen)
+
+    # Each replay kind keeps its own ``next_moves`` entry, so that per-class
+    # tracing (perfbench/spans.py) can wrap the layers separately.
+    next_moves = _answer
+
+    def _replay(self, history: Run, seen: int) -> tuple[str, ...]:
+        """Fold ``history[seen:]`` onto the fold of ``history[:seen]``."""
+        changed = seen == 0
+        if changed:
+            self._start()
+        fold, out = self._fold, self._out
+        mine = []
+        for lm in history[seen:]:
+            if lm.player is BOT:
+                out.extend(self.respond(fold, lm))
+                changed = True
+            else:
+                mine.append(lm.move)
+        if changed:
+            self._settle()
+        k = self._emitted
+        if mine:
+            if out[k:k + len(mine)] != mine:
+                raise RuntimeError(f"{self.name}: tape out of sync")
+            k = self._emitted = k + len(mine)
+        if self.discipline == "EPM":
+            return tuple(out[k:k + 1])
+        return tuple(out[k:])
 
 
-class DueMachine(MachineStrategy):
+class _Play:
+    """An inner machine played on an imaginary tape: the machine, the tape it
+    has seen, its moves there in order, and how many of those moves the
+    outer machine has used."""
+
+    __slots__ = ("machine", "tape", "moves", "used")
+
+    def __init__(self, machine: MachineStrategy):
+        self.machine = machine
+        self.tape: list[Labmove] = []
+        self.moves: list[str] = []
+        self.used = 0
+
+    def step(self) -> tuple[str, ...]:
+        """Ask the machine once and put its block on the tape."""
+        block = self.machine.next_moves(tuple(self.tape))
+        if block:
+            self.tape.extend(Labmove(TOP, mv) for mv in block)
+            self.moves.extend(block)
+        return block
+
+    def drain(self):
+        """Ask until the machine grants permission."""
+        # step's body inline: every layer of a stack drains once per absorbed
+        # labmove, and a call per query cost about 4 % of simulate time
+        machine, tape, moves = self.machine, self.tape, self.moves
+        while True:
+            block = machine.next_moves(tuple(tape))
+            if not block:
+                return
+            tape.extend(Labmove(TOP, mv) for mv in block)
+            moves.extend(block)
+
+
+class DueMachine(ReplayMachine):
     """Base for strategies that owe a response sequence to the environment
     moves seen so far.
 
     Subclasses provide a fold: ``initial_state`` plus ``respond(state, lm)``
     returning the moves owed because of one environment labmove (mutating the
-    state as needed).  The owed sequence is accumulated incrementally; the
-    moves already on the tape must form a prefix of it, and the remainder is
-    emitted (first move only under EPM discipline).
+    state as needed).
     """
 
-    def __init__(self):
-        self._seen = 0
-        self._prefix: Run = ()
-        self._due: list[str] = []
-        self._emitted = 0
-        self._fold = self.initial_state()
-
-    def initial_state(self):
-        return None
-
-    def respond(self, state, lm: Labmove) -> list[str]:
-        raise NotImplementedError
-
-    def due_moves(self, history: Run) -> list[str]:
-        """The full owed sequence after ``history`` (recomputed cold)."""
-        state = self.initial_state()
-        due: list[str] = []
-        for lm in history:
-            if lm.player is BOT:
-                due.extend(self.respond(state, lm))
-        return due
-
-    def next_moves(self, history: Run) -> tuple[str, ...]:
-        if self._seen > len(history) or history[: self._seen] != self._prefix:
-            DueMachine.__init__(self)
-        for lm in history[self._seen:]:
-            if lm.player is BOT:
-                self._due.extend(self.respond(self._fold, lm))
-            else:
-                self._emitted += 1
-        self._seen = len(history)
-        self._prefix = history
-        if self._emitted > len(self._due):
-            raise RuntimeError(f"{self.name}: tape out of sync with strategy")
-        pending = self._due[self._emitted:]
-        if not pending:
-            return ()
-        return (pending[0],) if self.discipline == "EPM" else tuple(pending)
+    next_moves = ReplayMachine._answer
 
 
 class SilentMachine(DueMachine):
@@ -361,90 +431,52 @@ def random_legal_environment(
 # translators: one inner machine behind a move renaming
 
 
-class _ReplayState:
-    __slots__ = ("seen", "emitted", "imag", "inner_tops", "translated", "out", "prefix")
-
-    def __init__(self):
-        self.seen = 0  # real history events processed
-        self.emitted = 0  # our own moves among them
-        self.imag: list[Labmove] = []  # reconstructed inner tape
-        self.inner_tops: list[str] = []  # the inner machine's moves, in order
-        self.translated = 0  # inner TOP moves already pushed through inner_to_real
-        self.out: list[str] = []  # real moves owed, in emission order
-        self.prefix: Run = ()  # the history those events came from
-
-
-class Translator(MachineStrategy):
+class Translator(ReplayMachine):
     """Plays game B by simulating an inner machine on game A.
 
     Environment moves translate one-to-many onto the inner tape; inner moves
     translate one-to-many onto the real tape.  Each inner move is translated
-    exactly once, at the moment it first becomes due, against a context
-    derived from the real play so far (transformers whose renaming depends on
-    the addresses already played use that context).
+    exactly once, after the query that made it due has absorbed all its new
+    labmoves, so a renaming that depends on the addresses already played
+    (``inner_to_real`` may read the fold state) sees all of them.
     """
 
     def __init__(self, inner: MachineStrategy, name: str | None = None):
-        self.inner = inner
         if name:
             self.name = name
-        self._state = _ReplayState()
+        self._play = _Play(inner)
+        super().__init__()
 
     # -- renaming hooks ----------------------------------------------------
 
     def env_to_inner(self, move: str) -> list[str]:
         raise NotImplementedError
 
-    def inner_to_real(self, move: str, ctx) -> list[str]:
+    def inner_to_real(self, move: str) -> list[str]:
         raise NotImplementedError
-
-    def make_out_context(self, history: Run):
-        """Context consulted by inner_to_real; rebuilt per translation round."""
-        return None
-
-    def note_real_move(self, ctx, move: str) -> None:
-        """Update the context with a move about to join the real tape."""
 
     # -- replay ------------------------------------------------------------
 
-    def _drain_inner(self, state: _ReplayState):
-        while True:
-            block = self.inner.next_moves(tuple(state.imag))
-            if not block:
-                return
-            state.imag.extend(Labmove(TOP, mv) for mv in block)
-            state.inner_tops.extend(block)
+    def _restart(self):
+        self._play = _Play(self._play.machine.fresh())
+        super()._restart()
 
-    def next_moves(self, history: Run) -> tuple[str, ...]:
-        state = self._state
-        if state.seen > len(history) or history[: state.seen] != state.prefix:
-            state = self._state = _ReplayState()
-            self.inner = self.inner.fresh()
-        if state.seen == 0:
-            self._drain_inner(state)
-        for lm in history[state.seen:]:
-            if lm.player is BOT:
-                state.imag.extend(Labmove(BOT, mv) for mv in self.env_to_inner(lm.move))
-                self._drain_inner(state)
-            else:
-                state.emitted += 1
-        state.seen = len(history)
-        state.prefix = history
-        if state.translated < len(state.inner_tops):
-            ctx = self.make_out_context(history)
-            for mv in state.out[state.emitted:]:
-                self.note_real_move(ctx, mv)  # owed but not on the tape yet
-            for mv in state.inner_tops[state.translated:]:
-                for real in self.inner_to_real(mv, ctx):
-                    state.out.append(real)
-                    self.note_real_move(ctx, real)
-            state.translated = len(state.inner_tops)
-        if state.emitted > len(state.out):
-            raise RuntimeError(f"{self.name}: tape out of sync")
-        out = tuple(state.out[state.emitted:])
-        if self.discipline == "EPM":
-            return out[:1]
-        return out
+    def _start(self):
+        self._play.drain()
+
+    def respond(self, state, lm):
+        play = self._play
+        play.tape.extend(Labmove(BOT, mv) for mv in self.env_to_inner(lm.move))
+        play.drain()
+        return ()
+
+    def _settle(self):
+        play = self._play
+        for mv in play.moves[play.used:]:
+            self._out.extend(self.inner_to_real(mv))
+        play.used = len(play.moves)
+
+    next_moves = ReplayMachine._answer
 
 
 class RenamingMachine(Translator):
@@ -459,7 +491,7 @@ class RenamingMachine(Translator):
     def env_to_inner(self, move):
         return self._to_inner(move)
 
-    def inner_to_real(self, move, ctx):
+    def inner_to_real(self, move):
         return self._to_real(move)
 
 
@@ -467,7 +499,7 @@ class RenamingMachine(Translator):
 # routers: several inner machines wired together
 
 
-class Router(MachineStrategy):
+class Router(ReplayMachine):
     """Plays an outer game by routing moves among inner machines.
 
     ``outer_links`` are (outer_prefix, inner index, inner_prefix): a BOT move
@@ -479,65 +511,54 @@ class Router(MachineStrategy):
     """
 
     def __init__(self, inners, outer_links, internal_links, name="router"):
-        self.inners = list(inners)
+        self._plays = [_Play(m) for m in inners]
         self.outer_links = list(outer_links)
         self.internal_links = list(internal_links)
         self.name = name
-        self._reset()
+        super().__init__()
 
-    def _reset(self):
-        self._seen = 0
-        self._prefix: Run = ()
-        self._tapes: list[list[Labmove]] = [[] for _ in self.inners]
-        self._out: list[str] = []
+    def _restart(self):
+        self._plays = [_Play(p.machine.fresh()) for p in self._plays]
+        super()._restart()
 
-    def _route_inner_move(self, i: int, move: str):
+    def _route(self, i: int, move: str):
         for a, pa, b, pb in self.internal_links:
             if a == i and move.startswith(pa):
-                self._tapes[b].append(Labmove(BOT, pb + move[len(pa):]))
-                return b
+                self._plays[b].tape.append(Labmove(BOT, pb + move[len(pa):]))
+                return
             if b == i and move.startswith(pb):
-                self._tapes[a].append(Labmove(BOT, pa + move[len(pb):]))
-                return a
+                self._plays[a].tape.append(Labmove(BOT, pa + move[len(pb):]))
+                return
         for outer_prefix, j, inner_prefix in self.outer_links:
             if j == i and move.startswith(inner_prefix):
                 self._out.append(outer_prefix + move[len(inner_prefix):])
-                return None
-        return None
+                return
 
-    def _settle(self):
+    def _run_inners(self):
+        """Ask each inner machine in turn until all of them grant."""
         progress = True
         while progress:
             progress = False
-            for i, machine in enumerate(self.inners):
-                block = machine.next_moves(tuple(self._tapes[i]))
+            for i, play in enumerate(self._plays):
+                block = play.step()
                 if block:
                     progress = True
                     for mv in block:
-                        self._tapes[i].append(Labmove(TOP, mv))
-                        self._route_inner_move(i, mv)
+                        self._route(i, mv)
 
-    def next_moves(self, history: Run) -> tuple[str, ...]:
-        if self._seen > len(history) or history[: self._seen] != self._prefix:
-            self.inners = [m.fresh() for m in self.inners]
-            self._reset()
-        if self._seen == 0:
-            self._settle()
-        for lm in history[self._seen:]:
-            if lm.player is BOT:
-                for outer_prefix, j, inner_prefix in self.outer_links:
-                    if lm.move.startswith(outer_prefix):
-                        self._tapes[j].append(
-                            Labmove(BOT, inner_prefix + lm.move[len(outer_prefix):])
-                        )
-                        break
-                self._settle()
-        self._seen = len(history)
-        self._prefix = history
-        done = _emitted(history)
-        if self._out[: len(done)] != done:
-            raise RuntimeError(f"{self.name}: tape out of sync")
-        return tuple(self._out[len(done):])
+    _start = _run_inners
+
+    def respond(self, state, lm):
+        for outer_prefix, j, inner_prefix in self.outer_links:
+            if lm.move.startswith(outer_prefix):
+                self._plays[j].tape.append(
+                    Labmove(BOT, inner_prefix + lm.move[len(outer_prefix):])
+                )
+                break
+        self._run_inners()
+        return ()
+
+    next_moves = ReplayMachine._answer
 
 
 def compose_modus_ponens(n: MachineStrategy, m: MachineStrategy,

@@ -10,6 +10,8 @@ the run tape and can be replayed inside other machines.
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .bits import fusions, defusion, shortlex
 from . import calculus
 from .calculus import (
@@ -45,7 +47,9 @@ from .machines import (
     Environment,
     MachineStrategy,
     RenamingMachine,
+    ReplayMachine,
     Translator,
+    _Play,
     compose_chain,
     compose_modus_ponens,
     pair_components,
@@ -251,13 +255,14 @@ class BridgeNewToOld(DueMachine):
         return images
 
     @staticmethod
-    def _check(images: dict[str, str]):
-        leaves = list(images)
-        for i, a in enumerate(leaves):
-            for b in leaves[i + 1:]:
-                assert not images[a].startswith(images[b]) and not images[b].startswith(
-                    images[a]
-                ), f"leaf images not prefix-free: {images}"
+    def _check(images: dict[str, str], changed: Iterable[str]):
+        """Raise unless the changed leaves' images are prefix-free against all
+        others; the unchanged ones already were."""
+        for a in changed:
+            for b in images:
+                if b != a and (images[a].startswith(images[b])
+                               or images[b].startswith(images[a])):
+                    raise RuntimeError(f"leaf images not prefix-free: {images}")
 
     def respond(self, images, lm):
         parsed = split_indexed(lm.move)
@@ -275,7 +280,7 @@ class BridgeNewToOld(DueMachine):
                     v = images.pop(w)
                     images[w + "0"] = v + "0"
                     images[w + "1"] = v + "1"
-                    self._check(images)
+                    self._check(images, (w + "0", w + "1"))
                 return []
             # move in every thread below node w: copy into each leaf image
             return [
@@ -292,7 +297,7 @@ class BridgeNewToOld(DueMachine):
             if "1" in grown:
                 return []  # address left the essentially finite zone: ignore
             images[leaf] = w
-            self._check(images)
+            self._check(images, (leaf,))
             return [f"2.{leaf}.{beta}"]
         return [
             f"2.{leaf}.{beta}"
@@ -318,7 +323,7 @@ class ClubsuitAdapter(Translator):
             return []
         return [join_cell(1, (t[0],), t[1])]
 
-    def inner_to_real(self, move, ctx):
+    def inner_to_real(self, move):
         parsed = split_cell(move, 1)
         if parsed is None or parsed[0] != 1:
             raise RuntimeError(f"clubsuit adapter: unexpected inner move {move!r}")
@@ -633,13 +638,19 @@ class _PinnedThreadMachine(Translator):
 
     The pinned address grows only as far as needed to avoid being a proper
     prefix of any address already used in the cell, which keeps the
-    synchronized thread's run isolated from later splits.
+    synchronized thread's run isolated from later splits.  The fold state is
+    the set of thread addresses the environment used in the cell.  The
+    machine's own pinned addresses need no record: none lies deeper than the
+    next one, so none is a proper extension of it.
     """
 
     def __init__(self, inner, oformula: int, n_coords: int):
         super().__init__(inner, name=f"corec-intro@{oformula}-pin")
         self.oformula = oformula
         self.n_coords = n_coords
+
+    def initial_state(self):
+        return set()
 
     def env_to_inner(self, move):
         parsed = split_cell(move, self.n_coords)
@@ -652,29 +663,12 @@ class _PinnedThreadMachine(Translator):
         if t is None or t[1] is None:
             return []
         v, alpha = t
+        self._fold.add(v)
         if v.strip("0"):
             return []  # off the pinned all-zero thread: ignore
         return [join_cell(a, coords, alpha)]
 
-    def make_out_context(self, history):
-        used = set()
-        for lm in history:
-            parsed = split_cell(lm.move, self.n_coords)
-            if parsed is None or parsed[0] != self.oformula:
-                continue
-            t = split_thread(parsed[2])
-            if t is not None and t[1] is not None:
-                used.add(t[0])
-        return used
-
-    def note_real_move(self, used, move):
-        parsed = split_cell(move, self.n_coords)
-        if parsed is not None and parsed[0] == self.oformula:
-            t = split_thread(parsed[2])
-            if t is not None and t[1] is not None:
-                used.add(t[0])
-
-    def inner_to_real(self, move, used):
+    def inner_to_real(self, move):
         parsed = split_cell(move, self.n_coords)
         if parsed is None:
             raise RuntimeError(f"bad inner move {move!r}")
@@ -682,7 +676,7 @@ class _PinnedThreadMachine(Translator):
         if a != self.oformula:
             return [move]
         k = 0
-        while any(v != "0" * k and v.startswith("0" * k) for v in used):
+        while any(v != "0" * k and v.startswith("0" * k) for v in self._fold):
             k += 1
         return [join_cell(a, coords, f"{'0' * k}.{rest}")]
 
@@ -720,29 +714,7 @@ def synthesize_formula(p: Proof) -> MachineStrategy:
 # recurrence equivalence machines
 
 
-class _ClassPlay:
-    """One synchronized thread class: its own copy of the inner machine, the
-    imaginary tape it has seen, and how much of it the machine produced."""
-
-    __slots__ = ("machine", "tape", "due", "emitted")
-
-    def __init__(self, machine):
-        self.machine = machine
-        self.tape: list[Labmove] = []
-        self.due: list[str] = []
-        self.emitted = 0
-
-    def drain(self):
-        while True:
-            block = self.machine.next_moves(tuple(self.tape))
-            if not block:
-                return
-            for mv in block:
-                self.tape.append(Labmove(TOP, mv))
-                self.due.append(mv)
-
-
-class ThreadPromotion(MachineStrategy):
+class ThreadPromotion(ReplayMachine):
     """Wins a branching recurrence of G given a machine winning G, by running
     one copy of the inner machine per thread class and addressing its answers
     at the class's defining prefix.
@@ -756,9 +728,12 @@ class ThreadPromotion(MachineStrategy):
 
     def __init__(self, inner: MachineStrategy):
         self.inner = inner
-        self._plays: dict[str, _ClassPlay] = {}
-        self._seen = 0
-        self._hist_prefix: Run = ()
+        self._plays: dict[str, _Play] = {}
+        super().__init__()
+
+    def _restart(self):
+        self._plays.clear()
+        super()._restart()
 
     @staticmethod
     def _partition(history: Run) -> list[str]:
@@ -785,40 +760,33 @@ class ThreadPromotion(MachineStrategy):
                 out.extend(u + b for b in "01" if u + b not in closure)
         return out
 
-    def _class_play(self, addr: str, history: Run) -> _ClassPlay:
-        play = self._plays.get(addr)
-        if play is None:
-            play = self._plays[addr] = _ClassPlay(self.inner.fresh())
-            play.drain()
-            for lm in project_thread(history, zeros(addr)):
-                if lm.player is BOT:
-                    play.tape.append(lm)
-                    play.drain()
-                else:
-                    play.emitted += 1
-        return play
-
-    def next_moves(self, history: Run) -> tuple[str, ...]:
-        if self._seen > len(history) or history[: self._seen] != self._hist_prefix:
-            self._plays.clear()
-            self._seen = 0
-        new = history[self._seen:]
-        addresses = self._partition(history)
-        out = []
-        for addr in addresses:
-            play = self._class_play(addr, history[: self._seen])
-            for lm in project_thread(new, zeros(addr)):
-                if lm.player is BOT:
-                    play.tape.append(lm)
-                    play.drain()
-                else:
-                    play.emitted += 1
-            if play.emitted > len(play.due):
+    @staticmethod
+    def _feed(play: _Play, projection: Run):
+        """The adversary's moves join the class's tape; our own must be the
+        class machine's next unused move."""
+        for lm in projection:
+            if lm.player is BOT:
+                play.tape.append(lm)
+                play.drain()
+            elif play.used < len(play.moves) and play.moves[play.used] == lm.move:
+                play.used += 1
+            else:
                 raise RuntimeError("promotion thread out of sync")
-            out.extend(f"{addr}.{mv}" for mv in play.due[play.emitted:])
-        self._seen = len(history)
-        self._hist_prefix = history
+
+    def _replay(self, history: Run, seen: int) -> tuple[str, ...]:
+        old, new = history[:seen], history[seen:]
+        out = []
+        for addr in self._partition(history):
+            play = self._plays.get(addr)
+            if play is None:
+                play = self._plays[addr] = _Play(self.inner.fresh())
+                play.drain()
+                self._feed(play, project_thread(old, zeros(addr)))
+            self._feed(play, project_thread(new, zeros(addr)))
+            out.extend(f"{addr}.{mv}" for mv in play.moves[play.used:])
         return tuple(out)
+
+    next_moves = ReplayMachine._answer
 
 
 def equivalence_machine(f: Formula, direction: str) -> MachineStrategy:

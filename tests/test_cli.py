@@ -163,3 +163,21 @@ class TestWinnerCommand:
         spec = write(workdir / "interp.txt", "P sum-parity odd\n")
         path2 = write(workdir / "run2.txt", "B 1\nB 1\n")
         assert main(["winner", path2, "--game", "P", "--interp", spec]) == 1
+
+
+class TestInterpretationCoverage:
+    @pytest.mark.parametrize("command", ["winner", "simulate"])
+    def test_missing_atom_is_an_input_error(self, workdir, capsys, command):
+        spec = write(workdir / "interp.txt", "P enumeration\n")
+        if command == "winner":
+            argv = ["winner", write(workdir / "run.txt", "B 2.1\nT 1.1\n"),
+                    "--game", "P -> Q", "--interp", spec]
+        else:
+            argv = ["simulate", "--strategy", "copycat", "--env", "random:1",
+                    "--game", "P -> Q", "--interp", spec, "--horizon", "10"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: {spec}: interpretation does not cover atom Q"
+        ]

@@ -3,6 +3,7 @@ import pytest
 from colog.kernel import (
     BOT,
     TOP,
+    CirquentGame,
     Labmove,
     adjudicate,
     enumeration_game,
@@ -16,14 +17,25 @@ from colog.machines import (
     SilentEnvironment,
     SilentMachine,
     SimConfig,
+    compose_chain,
     compose_modus_ponens,
     random_legal_environment,
     scripted_environment,
     simulate,
     swap_components,
 )
-from colog.strategies import LiteralCopycat
+from colog.strategies import (
+    BridgeNewToOld,
+    BridgeOldToNew,
+    LiteralCopycat,
+    ThreadPromotion,
+    equivalence_game,
+    equivalence_machine,
+    synthesize,
+)
 from colog.syntax import parse_formula
+
+from test_calculus import load_corpus
 
 ENUM = {"P": enumeration_game(), "Q": enumeration_game()}
 
@@ -195,7 +207,75 @@ class TestComposition:
         assert answers == ["2.m", "1.k"]
 
 
+def _chain():
+    return compose_chain(BridgeOldToNew(), BridgeNewToOld()), parse_formula("!o P -> !o P")
+
+
+def _renaming():
+    proof = load_corpus("crec_p_implies_crec_p")
+    return synthesize(proof), CirquentGame(proof.conclusion)
+
+
+def _equivalence():
+    f = parse_formula("!c P")
+    return equivalence_machine(f, "TL"), equivalence_game(f, "TL")
+
+
+def _promotion():
+    return ThreadPromotion(BridgeOldToNew()), parse_formula("!u (!o P -> !c P)")
+
+
+# one machine of each replay kind: a plain fold, a translator chain, a
+# router, a router over a thread promotion, and a bare thread promotion over
+# a machine whose fold state shows when a class replays stale moves
+REPLAY_KINDS = {
+    "due": lambda: (LiteralCopycat(), parse_formula("P -> P")),
+    "translator": _renaming,
+    "router": _chain,
+    "equivalence": _equivalence,
+    "promotion": _promotion,
+}
+
+
 class TestReplayability:
+    @pytest.mark.parametrize("kind", sorted(REPLAY_KINDS))
+    def test_answers_match_a_fresh_machine(self, kind):
+        make = REPLAY_KINDS[kind]
+        machine, game = make()
+        runs = [
+            simulate(machine, random_legal_environment(seed, game, ENUM),
+                     SimConfig(horizon=40)).run
+            for seed in range(3)
+        ]
+        assert all(len(r) > 4 for r in runs)
+        # diverging histories of equal and growing length, shorter ones, and
+        # cuts just after an environment move, where an answer is pending
+        queries = []
+        for quarter in (1, 2, 3, 4):
+            for r in runs:
+                queries.append(r[: len(r) * quarter // 4])
+            queries.append(runs[0][: len(runs[0]) * quarter // 8])
+        after_env = [[r[: i + 1] for i, lm in enumerate(r) if lm.player is BOT] for r in runs]
+        for cuts in zip(*after_env):
+            queries += cuts
+        probe = make()[0]
+        pending = 0
+        for h in queries:
+            answer = probe.next_moves(h)
+            assert answer == make()[0].next_moves(h), (kind, len(h))
+            pending += bool(answer)
+        assert pending > 0
+
+    @pytest.mark.parametrize("kind", sorted(REPLAY_KINDS))
+    def test_a_foreign_own_move_is_out_of_sync(self, kind):
+        machine, game = REPLAY_KINDS[kind]()
+        g_run = simulate(machine, random_legal_environment(0, game, ENUM),
+                         SimConfig(horizon=40)).run
+        i = next(i for i, lm in enumerate(g_run) if lm.player is TOP)
+        forged = g_run[:i] + (Labmove(TOP, g_run[i].move + "0"),) + g_run[i + 1:]
+        with pytest.raises(RuntimeError, match="out of sync"):
+            machine.next_moves(forged)
+
     def test_machine_state_is_a_function_of_history(self):
         m = LiteralCopycat()
         h1 = run((BOT, "1.m"))

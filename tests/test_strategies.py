@@ -254,6 +254,13 @@ class TestBridgeNewToOld:
         assert m.next_moves(history) == ("2..m",)
         assert m.leaf_map(history) == {"": "00"}
 
+    def test_images_that_are_not_prefix_free_raise(self):
+        BridgeNewToOld._check({"0": "0", "1": "10"}, ["1"])
+        with pytest.raises(RuntimeError, match="prefix-free"):
+            BridgeNewToOld._check({"0": "0", "1": "01"}, ["1"])
+        with pytest.raises(RuntimeError, match="prefix-free"):
+            BridgeNewToOld._check({"0": "01", "1": "0", "": "1"}, ["1"])
+
     def test_exact_image_fans_into_the_leaf(self):
         answers = machine_answers(BridgeNewToOld(), [(1, "2.:"), (2, "1.0.m")])
         assert answers == ["2.0.m"]
@@ -299,7 +306,7 @@ class TestAdapters:
         assert machine_answers(outer, [(1, "0.1.m")]) == ["0.2.m"]
         probe = ClubsuitAdapter(synthesize(_load("p_implies_p")))
         probe.next_moves(run((BOT, "0.1.m")))
-        assert probe._state.imag[0] == Labmove(BOT, "1;0.1.m")
+        assert probe._play.tape[0] == Labmove(BOT, "1;0.1.m")
 
     def test_silent_inner_stays_silent(self):
         outer = ClubsuitAdapter(SilentMachine())
@@ -360,7 +367,7 @@ class TestTransformerTraces:
         m = transform_rule(Exchange("overgroup", 1), premise, conclusion, AxiomCopycat(1))
         # a move with distinct coordinates reaches the inner machine swapped
         m.next_moves(run((BOT, "1;0,1.m")))
-        assert m._state.imag[0] == Labmove(BOT, "1;1,0.m")
+        assert m._play.tape[0] == Labmove(BOT, "1;1,0.m")
 
     def test_or_intro_renames_the_split_halves(self):
         premise = make_cirquent([pf("~P"), pf("P")], [{1, 2}], [{1, 2}])
@@ -376,14 +383,14 @@ class TestTransformerTraces:
         conclusion = make_cirquent([pf("?c P")], [{1}], [{1}])
         m = transform_rule(Contraction(1), premise, conclusion, SilentMachine())
         m.next_moves(run((BOT, "1;..m")))
-        assert [lm.move for lm in m._state.imag] == ["1;..m", "2;..m"]
+        assert [lm.move for lm in m._play.tape] == ["1;..m", "2;..m"]
 
     def test_contraction_splits_thread_addresses(self):
         premise = make_cirquent([pf("?c P"), pf("?c P")], [{1, 2}], [{1, 2}])
         conclusion = make_cirquent([pf("?c P")], [{1}], [{1}])
         m = transform_rule(Contraction(1), premise, conclusion, SilentMachine())
         m.next_moves(run((BOT, "1;.01.m"), (BOT, "1;.11.k")))
-        assert [lm.move for lm in m._state.imag] == ["1;.1.m", "2;.1.k"]
+        assert [lm.move for lm in m._play.tape] == ["1;.1.m", "2;.1.k"]
 
     def test_identity_rules_pass_the_machine_through(self):
         premise = make_cirquent([pf("~P"), pf("P")], [{1, 2}], [{1, 2}])
@@ -465,6 +472,73 @@ class TestSynthesis:
         assert catalog_machine("copycat").name == "copycat"
         with pytest.raises(KeyError):
             catalog_machine("no-such-strategy")
+
+
+# corecurrence introduction with no new overgroup: the pinned-thread transformer
+PINNED_PROOF = """step 1
+rule axiom
+cirquent
+  f 1: ~P
+  f 2: P
+  u 1: 1 2
+  o 1: 1 2
+end
+step 2
+rule corec-intro of=1
+cirquent
+  f 1: ?c ~P
+  f 2: P
+  u 1: 1 2
+  o 1: 1 2
+end
+step 3
+rule or-intro of=1
+cirquent
+  f 1: ?c ~P | P
+  u 1: 1
+  o 1: 1
+end
+"""
+
+
+class TestPinnedThread:
+    def test_cirquent_and_formula_games_are_won(self):
+        proof = parse_proof(PINNED_PROOF)
+        forms = [
+            (synthesize(proof), CirquentGame(proof.conclusion)),
+            (synthesize_formula(proof), proof.conclusion.oformulas[0]),
+        ]
+        depths = set()
+        for machine, g in forms:
+            for variant in ["enumeration", "sum-parity-even", "top-played"]:
+                itp = interp_for(["P"], variant)
+                for seed in range(15):
+                    env = random_legal_environment(seed, g, itp)
+                    res = simulate(machine, env, SimConfig(horizon=100))
+                    ok, w = adjudicate(g, itp, res.run)
+                    assert ok and w is TOP, (g, variant, seed)
+                    if isinstance(g, CirquentGame):
+                        depths |= _pinned_depths(res.run)
+        # the pinned address grew past addresses the environment used
+        assert {0, 1, 2} <= depths
+
+    def test_pinned_address_avoids_used_prefixes(self):
+        machine = synthesize(parse_proof(PINNED_PROOF))
+        # moves at threads 01 and 1 of the ?c stay unanswered; the answer
+        # to a move in P lands on the shortest all-zero thread that is not a
+        # proper prefix of either
+        answers = machine_answers(machine, [(1, "1;.1.01.m"), (2, "1;.1.1.k"), (3, "1;.2.j")])
+        assert answers == ["1;.1.00.j"]
+
+
+def _pinned_depths(g_run):
+    """Lengths of the ?c thread addresses of TOP's moves in the left disjunct."""
+    out = set()
+    for lm in g_run:
+        rest = lm.move.split(".", 1)[1]
+        if lm.player is TOP and rest.startswith("1."):
+            out.add(len(split_thread(rest[2:])[0]))
+    return out
 
 
 class TestThreadPromotion:
