@@ -524,7 +524,9 @@ def _legal_single(g: GameExpr, itp: Interpretation, lm: Labmove) -> bool:
 def legal_extension(g: GameExpr, itp: Interpretation, pos: Run, lm: Labmove) -> bool:
     """Is ``pos + lm`` still legal, given that ``pos`` is?
 
-    Malformed move shapes answer False; that is the illegality signal.
+    Malformed move shapes answer False; that is the illegality signal.  The
+    random environment filters its candidate moves with it; whole runs are
+    judged by ``first_illegal``.
     """
     if position_free(g, itp):
         return _legal_single(g, itp, lm)
@@ -601,82 +603,109 @@ def legal_extension(g: GameExpr, itp: Interpretation, pos: Run, lm: Labmove) -> 
 
 
 def first_illegal(g: GameExpr, itp: Interpretation, run_: Run) -> int | None:
-    """Index of the first illegal move, or None for a legal run."""
-    if legal_run(g, itp, run_):
-        return None
-    for i in range(len(run_)):
-        if not legal_extension(g, itp, run_[:i], run_[i]):
-            return i
-    raise AssertionError("legal_run and legal_extension disagree")
+    """Index of the run's first illegal labmove, or None for a legal run.
 
-
-def legal_run(g: GameExpr, itp: Interpretation, run_: Run) -> bool:
-    """Whole-run legality.
-
-    Equivalent to checking legal_extension along every prefix, but the thread
-    quantifiers are evaluated once against the full run's class structure
-    (projections of prefixes are prefixes of projections, so the per-prefix
-    and whole-run readings agree).
+    A run whose first offending move is labeled p is lost by p, and this
+    names that move in one pass over the run.  A node's answer is the
+    earliest of its own first structural fault (a malformed move, a component
+    or oformula out of range, a coordinate outside an overgroup, a
+    replication by the wrong player or off a leaf, an address off the
+    replication tree) and the first fault of each projection onto a
+    component, thread class or cell, mapped back to its index in the run.
+    This equals the first prefix that ``legal_extension`` rejects, because
+    the projections of a prefix are prefixes of the projections.  The cost is
+    linear in the run times its classes.
     """
     if position_free(g, itp):
         # single-move legality depends on the labmove alone: check each once
-        return all(_legal_single(g, itp, lm) for lm in dict.fromkeys(run_))
+        bad = {lm for lm in dict.fromkeys(run_) if not _legal_single(g, itp, lm)}
+        return next((i for i, lm in enumerate(run_) if lm in bad), None) if bad else None
     match g:
         case Atom(name):
             game = _atom_game(itp, name)
-            return all(game.legal(run_[:i], run_[i]) for i in range(len(run_)))
-        case NegAtom(name):
-            return legal_run(Atom(name), itp, negate_run(run_))
-        case And(l, r) | Or(l, r):
-            if any(split_indexed(lm.move) is None for lm in run_):
-                return False
-            return legal_run(l, itp, strip_prefix(run_, "1.")) and legal_run(
-                r, itp, strip_prefix(run_, "2.")
+            return next(
+                (i for i in range(len(run_)) if not game.legal(run_[:i], run_[i])), None
             )
+        case NegAtom(name):
+            return first_illegal(Atom(name), itp, negate_run(run_))
+        case And(l, r) | Or(l, r):
+            end = _first(run_, lambda lm: split_indexed(lm.move) is None)
+            return _first_in_parts(itp, run_, end, lambda h: [
+                (l, strip_prefix(h, "1.")), (r, strip_prefix(h, "2."))])
         case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
-            for lm in run_:
-                t = split_thread(lm.move)
-                if t is None or t[1] is None:
-                    return False
-            return all(legal_run(body, itp, sub) for sub in thread_projections(run_))
+            end = _first(run_, lambda lm: (t := split_thread(lm.move)) is None or t[1] is None)
+            return _first_in_parts(itp, run_, end, lambda h: [
+                (body, sub) for sub in thread_projections(h)])
         case OldCRec(body) | OldCCoRec(body):
             replicator = BOT if isinstance(g, OldCRec) else TOP
             nodes = {""}
-            for lm in run_:
+
+            def off_tree(lm):
                 t = split_thread(lm.move)
                 if t is None:
-                    return False
+                    return True
                 w, rest = t
-                if rest is None:
-                    # replicative: only the replicator, only at a current leaf
-                    if lm.player is not replicator:
-                        return False
-                    if w not in nodes or (w + "0") in nodes:
-                        return False
-                    nodes.add(w + "0")
-                    nodes.add(w + "1")
-                elif w not in nodes:
-                    return False
-            return all(legal_run(body, itp, sub) for sub in thread_projections(run_))
+                if rest is not None:
+                    return w not in nodes
+                # replicative: only the replicator, only at a current leaf
+                if lm.player is not replicator or w not in nodes or (w + "0") in nodes:
+                    return True
+                nodes.update((w + "0", w + "1"))
+                return False
+
+            end = _first(run_, off_tree)
+            return _first_in_parts(itp, run_, end, lambda h: [
+                (body, sub) for sub in thread_projections(h)])
         case CirquentGame(c):
             n = len(c.overgroups)
-            for lm in run_:
+
+            def malformed(lm):
                 parsed = split_cell(lm.move, n)
                 if parsed is None:
-                    return False
+                    return True
                 a, coords, _ = parsed
-                if not 1 <= a <= len(c.oformulas):
-                    return False
-                for j, u in enumerate(coords, start=1):
-                    if a not in c.overgroups[j - 1] and u != "":
-                        return False
-            cells = cells_projections(run_, range(1, len(c.oformulas) + 1), n)
-            return all(
-                legal_run(c.oformulas[a - 1], itp, sub)
-                for a, subs in cells.items()
-                for sub in subs
-            )
+                return not 1 <= a <= len(c.oformulas) or any(
+                    u != "" and a not in og for u, og in zip(coords, c.overgroups))
+
+            end = _first(run_, malformed)
+            return _first_in_parts(itp, run_, end, lambda h: [
+                (c.oformulas[a - 1], sub)
+                for a, subs in cells_projections(h, range(1, len(c.oformulas) + 1), n).items()
+                for sub in subs])
     raise TypeError(f"not a game expression: {g!r}")
+
+
+def _first(run_: Run, fault: Callable[[Labmove], bool]) -> int:
+    """Index of the first labmove with the fault, or the run's length."""
+    return next((i for i, lm in enumerate(run_) if fault(lm)), len(run_))
+
+
+def _first_in_parts(
+    itp: Interpretation, run_: Run, end: int, parts: Callable[[Run], list]
+) -> int | None:
+    """The earliest of ``end`` (a node's first structural fault, or the run's
+    length) and the first fault of each part of ``run_[:end]``, as
+    (sub-game, projected run) pairs from ``parts``; None if there is none.
+
+    Projections copy labels unchanged, so projecting the run with each label
+    replaced by its index names the run index of every projected move.
+    """
+    head = run_[:end]
+    faults = [
+        (c, k)
+        for c, (sub_g, sub) in enumerate(parts(head))
+        if (k := first_illegal(sub_g, itp, sub)) is not None
+    ]
+    if faults:
+        where = parts(tuple(Labmove(i, lm.move) for i, lm in enumerate(head)))
+        return min(where[c][1][k].player for c, k in faults)
+    return end if end < len(run_) else None
+
+
+def legal_run(g: GameExpr, itp: Interpretation, run_: Run) -> bool:
+    """Whole-run legality: the one ``first_illegal`` pass, linear in the run
+    times its classes, finds no offender."""
+    return first_illegal(g, itp, run_) is None
 
 
 # -- winner -----------------------------------------------------------------
@@ -693,9 +722,14 @@ def winner(g: GameExpr, itp: Interpretation, run_: Run) -> Player:
 
 
 def adjudicate(g: GameExpr, itp: Interpretation, run_: Run) -> tuple[bool, Player]:
-    """(legality, winner) of a finite run in one pass."""
-    if not legal_run(g, itp, run_):
-        bad = first_illegal(g, itp, run_)
+    """(legality, winner) of a finite run.
+
+    One ``first_illegal`` pass, linear in the run times its classes, names
+    the offender of an illegal run, which its opponent wins; a legal run is
+    then evaluated by the winner clauses.
+    """
+    bad = first_illegal(g, itp, run_)
+    if bad is not None:
         return False, run_[bad].player.flip()
     return True, _winner_legal(g, itp, run_, {})
 

@@ -1,6 +1,11 @@
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from colog.bits import ones, zeros
+from colog.calculus import parse_proof
 from colog.kernel import (
     BOT,
     TOP,
@@ -17,6 +22,7 @@ from colog.kernel import (
     first_illegal,
     format_run,
     is_delay,
+    join_cell,
     legal_extension,
     legal_run,
     negate_run,
@@ -32,12 +38,15 @@ from colog.kernel import (
     thread_projections,
     winner,
 )
+from colog.machines import SimConfig, _move_candidates, random_legal_environment, simulate
+from colog.strategies import catalog_game, catalog_machine, synthesize
 from colog.syntax import (
     And,
     Atom,
     CCoRec,
     CRec,
     NegAtom,
+    OldCCoRec,
     OldCRec,
     Or,
     UCoRec,
@@ -288,10 +297,191 @@ class TestLegality:
         moves = ["1.:", "1.0:", "1..4", "1.0.4", "1.10.5", "2.0.4", "2..9", "1.bad", "2.xyz"]
         for _ in range(400):
             g_run = random_run(rng, rng.randint(0, 6), moves)
-            stepwise = all(
-                legal_extension(g, ENUM, g_run[:i], g_run[i]) for i in range(len(g_run))
-            )
-            assert legal_run(g, ENUM, g_run) == stepwise
+            stepwise = first_illegal_by_prefixes(g, ENUM, g_run)
+            assert legal_run(g, ENUM, g_run) == (stepwise is None)
+            assert first_illegal(g, ENUM, g_run) == stepwise
+
+
+def first_illegal_by_prefixes(g, itp, g_run):
+    """Reference for first_illegal: the first labmove that legal_extension
+    rejects after the prefix before it."""
+    for i in range(len(g_run)):
+        if not legal_extension(g, itp, g_run[:i], g_run[i]):
+            return i
+    return None
+
+
+def assert_first_illegal_matches(g, itp, g_run):
+    """first_illegal, legal_run and adjudicate agree with the prefix
+    reference; returns the reference's index."""
+    want = first_illegal_by_prefixes(g, itp, g_run)
+    assert first_illegal(g, itp, g_run) == want, (g, g_run)
+    assert legal_run(g, itp, g_run) == (want is None)
+    if want is not None:
+        assert adjudicate(g, itp, g_run) == (False, g_run[want].player.flip())
+    return want
+
+
+def two_moves_each_game():
+    """Positional: numerals only, and each player moves at most twice."""
+    return FiniteAtomGame(
+        "two-moves-each",
+        legal=lambda pos, lm: lm.move.isdigit()
+        and sum(p.player is lm.player for p in pos) < 2,
+        winner=lambda g: TOP,
+    )
+
+
+Q = Atom("Q")
+POSITIONAL = {"P": two_moves_each_game(), "Q": enumeration_game()}
+LEGALITY_SHAPES = [
+    P,
+    NegAtom("P"),
+    And(P, Q),
+    Or(P, NegAtom("Q")),
+    CRec(P),
+    URec(P),
+    CCoRec(NegAtom("P")),
+    UCoRec(P),
+    CRec(And(P, CCoRec(Q))),
+    Or(URec(P), CRec(NegAtom("Q"))),
+    OldCRec(P),
+    OldCCoRec(P),
+    OldCRec(Or(P, CRec(Q))),
+    CRec(OldCCoRec(P)),
+    CirquentGame(make_cirquent([P, CRec(Q)], [{1, 2}], [{1, 2}, {2}])),
+    CirquentGame(make_cirquent([OldCRec(P), NegAtom("P"), Q], [{1, 2}, {3}],
+                               [{1, 3}, {2}])),
+]
+
+
+def _move_pool(g, rng, size=10):
+    """Moves for g, legal and not: malformed shapes, components and
+    oformulas out of range, replications by either player anywhere,
+    addresses off the replication tree, coordinates outside overgroups."""
+    match g:
+        case Atom(_) | NegAtom(_):
+            out = ["0", "1", "2", "x", ""]
+        case And(l, r) | Or(l, r):
+            out = [f"1.{m}" for m in _move_pool(l, rng)]
+            out += [f"2.{m}" for m in _move_pool(r, rng)]
+            out += ["3.0", "junk"]
+        case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
+            out = [f"{w}.{m}" for w in ("", "0", "1", "01") for m in _move_pool(body, rng)]
+            out += ["0:", "x"]
+        case OldCRec(body) | OldCCoRec(body):
+            out = [f"{w}:" for w in ("", "", "0", "1", "00")]
+            out += [f"{w}.{m}" for w in ("", "0", "1", "10") for m in _move_pool(body, rng)]
+            out += ["x"]
+        case CirquentGame(c):
+            out = []
+            for a in range(1, len(c.oformulas) + 2):
+                sub = _move_pool(c.oformulas[a - 1], rng) if a <= len(c.oformulas) else ["0"]
+                for m in sub:
+                    coords = [rng.choice(["", "0", "1"]) if a in og or rng.random() < 0.1
+                              else "" for og in c.overgroups]
+                    out.append(f"{a};{','.join(coords)}.{m}")
+            out += ["nope", "1;0.1"]
+    return rng.sample(out, min(size, len(out)))
+
+
+def _mostly_legal_run(g, itp, rng, length, pool):
+    """Random labmoves from the pool, most of them legal extensions, so
+    that offenders also come late in the run."""
+    out = ()
+    for _ in range(length):
+        options = [Labmove(p, m) for p in (TOP, BOT) for m in pool]
+        legal = [lm for lm in options if legal_extension(g, itp, out, lm)]
+        out += (rng.choice(legal if legal and rng.random() < 0.85 else options),)
+    return out
+
+
+class TestFirstIllegal:
+    def test_every_shape_matches_prefix_reference(self):
+        rng = random.Random(13)
+        illegal = late = 0
+        for g in LEGALITY_SHAPES:
+            for itp in (ENUM, POSITIONAL):
+                for _ in range(60):
+                    pool = _move_pool(g, rng)
+                    g_run = _mostly_legal_run(g, itp, rng, rng.randint(0, 10), pool)
+                    bad = assert_first_illegal_matches(g, itp, g_run)
+                    illegal += bad is not None
+                    late += bad is not None and bad >= 3
+        runs = len(LEGALITY_SHAPES) * 2 * 60
+        assert 0.3 < illegal / runs < 0.9 and late / runs > 0.15
+
+    @pytest.mark.parametrize("g, itp, g_run, bad", [
+        # a bad component in thread 1 after moves of thread 0
+        (CRec(Or(P, P)), ENUM, run((BOT, "0.1.2"), (TOP, "0.2.3"), (TOP, "1.1.4"),
+                                   (BOT, "1.3.0"), (BOT, "0.1.5")), 3),
+        # BOT's third move in the threads under 0
+        (CRec(P), POSITIONAL, run((BOT, "0.1"), (BOT, "1.1"), (BOT, "0.2"), (BOT, ".3")), 3),
+        # replication by the wrong player, off a leaf, an address off the tree
+        (OldCRec(P), ENUM, run((BOT, ":"), (TOP, "0:")), 1),
+        (OldCRec(P), ENUM, run((BOT, ":"), (BOT, "0.1"), (BOT, ":")), 2),
+        (OldCRec(P), ENUM, run((BOT, ":"), (TOP, "1.4"), (TOP, "10.4")), 2),
+        # an oformula out of range, a coordinate outside its overgroup, a
+        # malformed move
+        (CirquentGame(make_cirquent([P, Q], [{1, 2}], [{1}, {2}])), ENUM,
+         run((BOT, "1;0,.3"), (TOP, "3;,.1")), 1),
+        (CirquentGame(make_cirquent([P, Q], [{1, 2}], [{1}, {2}])), ENUM,
+         run((BOT, "1;0,.3"), (BOT, "1;0,1.3")), 1),
+        (CirquentGame(make_cirquent([P, Q], [{1, 2}], [{1}, {2}])), ENUM,
+         run((BOT, "1;0,.3"), (TOP, "1;0.3")), 1),
+    ])
+    def test_offender_is_named(self, g, itp, g_run, bad):
+        assert assert_first_illegal_matches(g, itp, g_run) == bad
+
+    def test_mutated_recorded_sessions(self):
+        # sessions of corpus proofs and catalog strategies, each also with
+        # an always-illegal move inserted, an unfiltered environment
+        # candidate inserted, one label flipped and one labmove repeated
+        sessions = []
+        for name in ["p_implies_p", "crec_p_implies_crec_p", "conj_commute",
+                     "crec_duplication", "double_undergroup"]:
+            with open(f"corpus/{name}.clp") as fh:
+                proof = parse_proof(fh.read())
+            c = proof.conclusion
+            bad = join_cell(len(c.oformulas) + 1, ("",) * len(c.overgroups), "0")
+            sessions.append((CirquentGame(c), synthesize(proof), bad))
+        for name in ["bridge-old-new", "bridge-new-old", "cst-elimination", "st-to-cst"]:
+            sessions.append((catalog_game(name), catalog_machine(name), "3.0"))
+        rng = random.Random(14)
+        checked = illegal = 0
+        for g, machine, bad in sessions:
+            for seed in range(2):
+                env = random_legal_environment(seed, g, ENUM)
+                g_run = simulate(machine, env, SimConfig(horizon=50)).run
+                runs = [g_run]
+                for _ in range(3):
+                    at = rng.randint(0, len(g_run))
+                    who = rng.choice([TOP, BOT])
+                    candidate = rng.choice(_move_candidates(g, ENUM, g_run[:at], rng))
+                    runs.append(g_run[:at] + (Labmove(who, bad),) + g_run[at:])
+                    runs.append(g_run[:at] + (Labmove(who, candidate),) + g_run[at:])
+                    if g_run:
+                        i = rng.randrange(len(g_run))
+                        flipped = Labmove(g_run[i].player.flip(), g_run[i].move)
+                        runs.append(g_run[:i] + (flipped,) + g_run[i + 1:])
+                        j = rng.randint(i, len(g_run))
+                        runs.append(g_run[:j] + (g_run[i],) + g_run[j:])
+                for itp in (ENUM, POSITIONAL):
+                    for mutated in runs:
+                        checked += 1
+                        illegal += assert_first_illegal_matches(g, itp, mutated) is not None
+        assert checked == 9 * 2 * 13 * 2
+        assert 0.4 < illegal / checked < 0.9
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(st.data())
+    def test_property_first_illegal_is_first_rejected_prefix(self, data):
+        g = data.draw(st.sampled_from(LEGALITY_SHAPES))
+        itp = data.draw(st.sampled_from([ENUM, POSITIONAL]))
+        pool = _move_pool(g, random.Random(data.draw(st.integers(0, 3))), size=12)
+        labmoves = st.builds(Labmove, st.sampled_from([TOP, BOT]), st.sampled_from(pool))
+        g_run = tuple(data.draw(st.lists(labmoves, max_size=10)))
+        assert_first_illegal_matches(g, itp, g_run)
 
 
 class TestWinner:
