@@ -202,25 +202,11 @@ def class_addresses(used: Iterable[str], below: str = "") -> tuple[str, ...]:
     return tuple(out)
 
 
-def class_reps(used: Iterable[str], below: str = "") -> tuple[InfBits, ...]:
-    """Eventually-zero representatives, one per class of ``class_addresses``."""
-    return tuple(InfBits(a, ZEROS) for a in class_addresses(used, below))
-
-
-def used_thread_prefixes(g: Iterable[Labmove]) -> tuple[str, ...]:
-    out = []
-    for lm in g:
-        parsed = split_thread(lm.move)
-        if parsed is not None and parsed[1] is not None:
-            out.append(parsed[0])
-    return tuple(out)
-
-
 def thread_projections(g: Iterable[Labmove]) -> list[Run]:
     """One projection per thread class of the run, parsing each move once.
 
     Covers exactly the projections {g^x : x infinite}, like projecting onto
-    every member of class_reps(used addresses).
+    the representative address + 000... of every class of class_addresses.
     """
     parsed = []
     used = []
@@ -242,9 +228,9 @@ def thread_projections(g: Iterable[Labmove]) -> list[Run]:
 def cells_projections(
     g: Iterable[Labmove], cells: Iterable[int], n_coords: int
 ) -> dict[int, list[Run]]:
-    """``cell_projections`` of every listed cell, parsing the run and building
-    the coordinate classes once.  Index i of every cell's list refers to the
-    same joint coordinate class."""
+    """One projection of each listed cell per joint coordinate class of the
+    run, parsing the run and building the coordinate classes once.  Index i
+    of every cell's list refers to the same joint coordinate class."""
     per_coord: list[set[str]] = [set() for _ in range(n_coords)]
     parsed: dict[int, list] = {a: [] for a in cells}
     for lm in g:
@@ -278,73 +264,56 @@ def cells_projections(
     return out
 
 
-def cell_projections(g: Iterable[Labmove], a: int, n_coords: int) -> list[Run]:
-    """One projection of cell ``a`` per joint coordinate class of the run."""
-    return cells_projections(g, (a,), n_coords)[a]
-
-
-def thread_class_reps(g: Iterable[Labmove], n_coords: int | None = None):
-    """Thread-class representatives of a run.
-
-    With ``n_coords=None`` the run is read at a recurrence node (moves
-    ``w.beta``) and a tuple of InfBits is returned.  With an integer the run
-    is read at a cirquent root (moves ``a;u1,...,un.beta``) and a tuple of
-    n-tuples (the per-coordinate cross product) is returned.
-    """
-    g = tuple(g)
-    if n_coords is None:
-        return class_reps(used_thread_prefixes(g))
-    per_coord: list[list[str]] = [[] for _ in range(n_coords)]
-    for lm in g:
-        parsed = split_cell(lm.move, n_coords)
-        if parsed is None:
-            continue
-        for j, u in enumerate(parsed[1]):
-            per_coord[j].append(u)
-    pools = [class_reps(us) for us in per_coord]
-    out = [()]
-    for pool in pools:
-        out = [t + (x,) for t in out for x in pool]
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # replication trees (the BT-structure of the tree-form recurrence)
 
 
-@dataclass(frozen=True)
 class BTStructure:
-    nodes: frozenset[str]
+    """A replication tree: the empty address plus both children of every
+    replicated address.  It grows by ``replicate``.  A node is a leaf iff no
+    node properly extends it, that is iff no replicated address has it as a
+    prefix, so the tree also keeps the prefixes of the replicated addresses.
+    This holds for any replications, on the tree or off it."""
+
+    __slots__ = ("nodes", "_inner")
+
+    def __init__(self):
+        self.nodes = {""}
+        self._inner: set[str] = set()  # the replicated addresses' prefixes
+
+    def replicate(self, w: str) -> None:
+        self.nodes.update((w + "0", w + "1"))
+        inner = self._inner
+        while w not in inner:  # inner is prefix-closed: stop at the first known
+            inner.add(w)
+            if not w:
+                break
+            w = w[:-1]
 
     def is_node(self, w: str) -> bool:
         return w in self.nodes
 
-    def leaves(self) -> tuple[str, ...]:
-        out = [
-            u
-            for u in self.nodes
-            if not any(v != u and v.startswith(u) for v in self.nodes)
-        ]
-        return tuple(sorted(out, key=lambda w: (len(w), w)))
+    def is_leaf(self, w: str) -> bool:
+        return w in self.nodes and w not in self._inner
 
-    def leaf_prefix_of(self, w: str) -> str | None:
-        """The unique leaf that is a prefix of w, if any."""
-        for u in self.leaves():
-            if w.startswith(u):
-                return u
-        return None
+    def leaves(self) -> tuple[str, ...]:
+        """The leaves in shortlex order."""
+        return tuple(sorted(self.nodes - self._inner, key=lambda w: (len(w), w)))
+
+    def __eq__(self, other):
+        return isinstance(other, BTStructure) and self.nodes == other.nodes
+
+    __hash__ = None
 
 
 def bt_structure(pos: Iterable[Labmove]) -> BTStructure:
-    """Nodes: the empty address plus both children of every replicated address."""
-    nodes = {""}
+    """The replication tree of the position's replicative moves ``w:``."""
+    tree = BTStructure()
     for lm in pos:
         parsed = split_thread(lm.move)
         if parsed is not None and parsed[1] is None:
-            w = parsed[0]
-            nodes.add(w + "0")
-            nodes.add(w + "1")
-    return BTStructure(frozenset(nodes))
+            tree.replicate(parsed[0])
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -521,85 +490,227 @@ def _legal_single(g: GameExpr, itp: Interpretation, lm: Labmove) -> bool:
     raise TypeError(f"not a game expression: {g!r}")
 
 
+class LegalPosition:
+    """A live legality position of one game: a fold over a run that answers
+    whether a labmove may extend it.
+
+    ``absorb`` folds labmoves onto the position, ``allows`` asks about one
+    more.  The answer is ``legal_extension``'s for the run folded so far,
+    for any run, legal or not.  A position-free subgame keeps no state and
+    is asked about the labmove alone.  ``&``/``|`` keep one sub-position per
+    component, and a tree-form recurrence keeps its replication tree.  A
+    recurrence or cirquent over a positional body keeps its run; a candidate
+    then asks a fresh position of the body about the run's projection onto
+    each class below the candidate's address.
+    """
+
+    def __init__(self, g: GameExpr, itp: Interpretation):
+        self._node = _position(g, itp)
+
+    def absorb(self, labmoves: Iterable[Labmove]) -> None:
+        node = self._node
+        if node.stateful:
+            for lm in labmoves:
+                node.absorb(lm)
+
+    def allows(self, lm: Labmove) -> bool:
+        return self._node.allows(lm)
+
+    def tree(self, at: str = "") -> BTStructure | None:
+        """The live replication tree of the tree-form recurrence at component
+        prefix ``at`` (``"1.2."`` is the right part of the left part),
+        reached from the root through ``&``/``|`` only; None if there is
+        none."""
+        node = self._node
+        for i in at.split(".")[:-1]:
+            if not isinstance(node, _ParPosition):
+                return None
+            node = node.subs[int(i) - 1]
+        return getattr(node, "tree", None)
+
+
 def legal_extension(g: GameExpr, itp: Interpretation, pos: Run, lm: Labmove) -> bool:
     """Is ``pos + lm`` still legal, given that ``pos`` is?
 
-    Malformed move shapes answer False; that is the illegality signal.  The
-    random environment filters its candidate moves with it; whole runs are
-    judged by ``first_illegal``.
+    The one-shot form of ``LegalPosition``: fold ``pos``, then ask about
+    ``lm``.  Malformed move shapes answer False; that is the illegality
+    signal.  Whole runs are judged by ``first_illegal``.
     """
-    if position_free(g, itp):
-        return _legal_single(g, itp, lm)
+    position = LegalPosition(g, itp)
+    position.absorb(pos)
+    return position.allows(lm)
+
+
+def _position(g: GameExpr, itp: Interpretation):
+    """The empty position of g.  Position-freedom is decided here, once per
+    node, from the children's positions."""
     match g:
-        case Atom(name):
-            return _atom_game(itp, name).legal(pos, lm)
-        case NegAtom(name):
-            return _atom_game(itp, name).legal(
-                negate_run(pos), Labmove(lm.player.flip(), lm.move)
-            )
+        case Atom(name) | NegAtom(name):
+            game = _atom_game(itp, name)
+            if game.position_free:
+                return _Free(g, itp)
+            return _AtomPosition(game, isinstance(g, NegAtom))
         case And(l, r) | Or(l, r):
-            parsed = split_indexed(lm.move)
-            if parsed is None:
-                return False
-            i, rest = parsed
-            sub = l if i == 1 else r
-            return legal_extension(sub, itp, strip_prefix(pos, f"{i}."), Labmove(lm.player, rest))
+            subs = (_position(l, itp), _position(r, itp))
+            if not (subs[0].stateful or subs[1].stateful):
+                return _Free(g, itp)
+            return _ParPosition(subs)
         case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
-            parsed = split_thread(lm.move)
-            if parsed is None or parsed[1] is None:
-                return False
-            w, rest = parsed
-            inner = Labmove(lm.player, rest)
-            for x in class_reps(used_thread_prefixes(pos), below=w):
-                if not legal_extension(body, itp, project_thread(pos, x), inner):
-                    return False
-            return True
+            sub = _position(body, itp)
+            if not sub.stateful:
+                return _Free(g, itp)
+            return _RecPosition(body, itp, sub, None)
         case OldCRec(body) | OldCCoRec(body):
-            parsed = split_thread(lm.move)
-            if parsed is None:
-                return False
-            w, rest = parsed
-            tree = bt_structure(pos)
-            if rest is None:
-                replicator = BOT if isinstance(g, OldCRec) else TOP
-                return lm.player is replicator and w in tree.leaves()
-            if not tree.is_node(w):
-                return False
-            inner = Labmove(lm.player, rest)
-            for x in class_reps(used_thread_prefixes(pos), below=w):
-                if not legal_extension(body, itp, project_thread(pos, x), inner):
-                    return False
-            return True
+            replicator = BOT if isinstance(g, OldCRec) else TOP
+            return _RecPosition(body, itp, _position(body, itp), replicator)
         case CirquentGame(c):
-            n = len(c.overgroups)
-            parsed = split_cell(lm.move, n)
-            if parsed is None:
-                return False
-            a, coords, rest = parsed
-            if not 1 <= a <= len(c.oformulas):
-                return False
-            for j, u in enumerate(coords, start=1):
-                if a not in c.overgroups[j - 1] and u != "":
-                    return False
-            inner = Labmove(lm.player, rest)
-            pools = []
-            for j, u in enumerate(coords, start=1):
-                used = [
-                    p[1][j - 1]
-                    for p in (split_cell(prev.move, n) for prev in pos)
-                    if p is not None
-                ]
-                pools.append(class_reps(used, below=u))
-            tuples = [()]
-            for pool in pools:
-                tuples = [t + (x,) for t in tuples for x in pool]
-            for xs in tuples:
-                if not legal_extension(
-                    c.oformulas[a - 1], itp, project_cell(pos, a, xs), inner
-                ):
-                    return False
-            return True
+            subs = [_position(f, itp) for f in c.oformulas]
+            if not any(sub.stateful for sub in subs):
+                return _Free(g, itp)
+            return _CirquentPosition(c, itp, subs)
     raise TypeError(f"not a game expression: {g!r}")
+
+
+class _Free:
+    """A position-free subgame: no state, answered by ``_legal_single``."""
+
+    __slots__ = ("g", "itp")
+    stateful = False
+
+    def __init__(self, g, itp):
+        self.g, self.itp = g, itp
+
+    def allows(self, lm):
+        return _legal_single(self.g, self.itp, lm)
+
+
+class _AtomPosition:
+    """A positional atom, or its negation: the run as the atom's game sees it."""
+
+    __slots__ = ("game", "negated", "run")
+    stateful = True
+
+    def __init__(self, game, negated):
+        self.game, self.negated, self.run = game, negated, []
+
+    def absorb(self, lm):
+        self.run.append(Labmove(lm.player.flip(), lm.move) if self.negated else lm)
+
+    def allows(self, lm):
+        if self.negated:
+            lm = Labmove(lm.player.flip(), lm.move)
+        return self.game.legal(tuple(self.run), lm)
+
+
+class _ParPosition:
+    """``&``/``|``: one sub-position per component."""
+
+    __slots__ = ("subs",)
+    stateful = True
+
+    def __init__(self, subs):
+        self.subs = subs
+
+    def absorb(self, lm):
+        parsed = split_indexed(lm.move)
+        if parsed is not None:
+            sub = self.subs[parsed[0] - 1]
+            if sub.stateful:
+                sub.absorb(Labmove(lm.player, parsed[1]))
+
+    def allows(self, lm):
+        parsed = split_indexed(lm.move)
+        if parsed is None:
+            return False
+        return self.subs[parsed[0] - 1].allows(Labmove(lm.player, parsed[1]))
+
+
+class _RecPosition:
+    """A recurrence over a positional body, or a tree-form recurrence.  The
+    tree-form ones keep their replication tree and allow a replication by
+    ``replicator`` only, at a leaf.  A positional body keeps the run's
+    thread moves and the addresses they use; a position-free one is asked
+    about the labmove alone."""
+
+    __slots__ = ("body", "itp", "free", "replicator", "tree", "run", "used")
+    stateful = True
+
+    def __init__(self, body, itp, sub, replicator):
+        self.body, self.itp, self.replicator = body, itp, replicator
+        self.free = None if sub.stateful else sub
+        self.tree = None if replicator is None else BTStructure()
+        self.run: list[Labmove] = []
+        self.used: set[str] = set()
+
+    def absorb(self, lm):
+        parsed = split_thread(lm.move)
+        if parsed is None:
+            return
+        w, rest = parsed
+        if rest is None:
+            if self.tree is not None:
+                self.tree.replicate(w)
+        elif self.free is None:
+            self.run.append(lm)
+            self.used.add(w)
+
+    def allows(self, lm):
+        parsed = split_thread(lm.move)
+        if parsed is None:
+            return False
+        w, rest = parsed
+        tree = self.tree
+        if rest is None:
+            return tree is not None and lm.player is self.replicator and tree.is_leaf(w)
+        if tree is not None and not tree.is_node(w):
+            return False
+        inner = Labmove(lm.player, rest)
+        if self.free is not None:
+            return self.free.allows(inner)
+        return all(
+            legal_extension(self.body, self.itp, project_thread(self.run, InfBits(a, ZEROS)), inner)
+            for a in class_addresses(self.used, below=w))
+
+
+class _CirquentPosition:
+    """A cirquent with a positional oformula: it keeps the run's cell moves
+    and the addresses they use in each coordinate.  A position-free
+    oformula is asked about the labmove alone."""
+
+    __slots__ = ("c", "itp", "free", "run", "used")
+    stateful = True
+
+    def __init__(self, c: Cirquent, itp, subs):
+        self.c, self.itp = c, itp
+        self.free = [None if sub.stateful else sub for sub in subs]
+        self.run: list[Labmove] = []
+        self.used: list[set[str]] = [set() for _ in c.overgroups]
+
+    def absorb(self, lm):
+        parsed = split_cell(lm.move, len(self.c.overgroups))
+        if parsed is not None:
+            self.run.append(lm)
+            for used, u in zip(self.used, parsed[1]):
+                used.add(u)
+
+    def allows(self, lm):
+        c = self.c
+        parsed = split_cell(lm.move, len(c.overgroups))
+        if parsed is None:
+            return False
+        a, coords, rest = parsed
+        if not 1 <= a <= len(c.oformulas):
+            return False
+        if any(u != "" and a not in og for u, og in zip(coords, c.overgroups)):
+            return False
+        inner = Labmove(lm.player, rest)
+        if self.free[a - 1] is not None:
+            return self.free[a - 1].allows(inner)
+        pools = [class_addresses(used, below=u) for used, u in zip(self.used, coords)]
+        return all(
+            legal_extension(c.oformulas[a - 1], self.itp,
+                            project_cell(self.run, a, [InfBits(x, ZEROS) for x in xs]), inner)
+            for xs in itertools.product(*pools))
 
 
 def first_illegal(g: GameExpr, itp: Interpretation, run_: Run) -> int | None:

@@ -18,11 +18,17 @@ queries.  ``DueMachine`` (a fold of owed responses), ``Translator`` and
 ``Router`` ("imaginary play": inner machines re-run on tapes derived from
 the real one, their moves translated back) and the thread promotion of
 ``strategies`` are all built on it.
+
+The random legal environment keeps the same contract with its own fold: one
+live ``kernel.LegalPosition``, whose replication trees its candidates also
+read.  A grant folds only the labmoves gained since the last history it
+folded; any other history restarts it from the empty position.
 """
 
 from __future__ import annotations
 
 import copy
+import heapq
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -33,8 +39,8 @@ from .kernel import (
     GameExpr,
     Interpretation,
     Labmove,
+    LegalPosition,
     Run,
-    legal_extension,
 )
 from . import kernel
 from .syntax import And, Atom, CCoRec, CRec, NegAtom, OldCCoRec, OldCRec, Or, UCoRec, URec
@@ -342,52 +348,39 @@ def simulate(machine: MachineStrategy, env: Environment, cfg: SimConfig) -> SimR
 # random environments
 
 
-def _holds_tree_recurrence(f) -> bool:
-    match f:
-        case OldCRec(_) | OldCCoRec(_):
-            return True
-        case And(l, r) | Or(l, r):
-            return _holds_tree_recurrence(l) or _holds_tree_recurrence(r)
-        case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
-            return _holds_tree_recurrence(body)
-    return False
+def _shortlex(w: str):
+    return len(w), w
 
 
-def _component_pos(f, pos: Run, prefix: str) -> Run:
-    """The component's position, as far as _move_candidates reads it: only
-    the replication-tree recurrences look at the position, so without one
-    the projection is skipped."""
-    return kernel.strip_prefix(pos, prefix) if _holds_tree_recurrence(f) else ()
-
-
-def _move_candidates(g: GameExpr, itp: Interpretation, pos: Run, rng: Random) -> list[str]:
+def _move_candidates(g: GameExpr, itp: Interpretation,
+                     tree: Callable[[str], kernel.BTStructure], rng: Random,
+                     at: str = "") -> list[str]:
     """Plausibly legal BOT moves: shape-directed templates over small address
     pools and the atoms' suggestion lists.  Candidates carry no legality
-    promise; callers filter with legal_extension."""
+    promise; callers filter with a ``LegalPosition``.
+
+    A tree-form recurrence reads ``tree(at)``, the replication tree of the
+    history's moves under ``at``, the prefix of the ``&``/``|`` components
+    above it.  Recurrence bodies and a cirquent's oformulas keep their
+    parent's prefix."""
     match g:
         case Atom(name) | NegAtom(name):
             return list(itp[name].suggest(()))
         case And(l, r) | Or(l, r):
-            out = [
-                f"1.{c}"
-                for c in _move_candidates(l, itp, _component_pos(l, pos, "1."), rng)
-            ]
-            out += [
-                f"2.{c}"
-                for c in _move_candidates(r, itp, _component_pos(r, pos, "2."), rng)
-            ]
+            out = [f"1.{c}" for c in _move_candidates(l, itp, tree, rng, at + "1.")]
+            out += [f"2.{c}" for c in _move_candidates(r, itp, tree, rng, at + "2.")]
             return out
         case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
             addrs = ["", "0", "1", format(rng.randrange(8), "03b")]
-            inner = _move_candidates(body, itp, pos, rng)
+            inner = _move_candidates(body, itp, tree, rng, at)
             return [f"{w}.{c}" for w in addrs for c in inner]
         case OldCRec(body) | OldCCoRec(body):
-            tree = kernel.bt_structure(pos)
+            bt = tree(at)
             out = []
             if isinstance(g, OldCRec):  # BOT is the replicating player here
-                out += [f"{leaf}:" for leaf in tree.leaves()]
-            inner = _move_candidates(body, itp, pos, rng)
-            for w in sorted(tree.nodes, key=lambda u: (len(u), u))[:6]:
+                out += [f"{leaf}:" for leaf in bt.leaves()]
+            inner = _move_candidates(body, itp, tree, rng, at)
+            for w in heapq.nsmallest(6, bt.nodes, key=_shortlex):
                 out.extend(f"{w}.{c}" for c in inner)
             return out
         case kernel.CirquentGame(c):
@@ -398,7 +391,7 @@ def _move_candidates(g: GameExpr, itp: Interpretation, pos: Run, rng: Random) ->
                     rng.choice(["", "0", "1", "00"]) if a in c.overgroups[j - 1] else ""
                     for j in range(1, n + 1)
                 )
-                for cnd in _move_candidates(c.oformulas[a - 1], itp, pos, rng):
+                for cnd in _move_candidates(c.oformulas[a - 1], itp, tree, rng, at):
                     out.append(kernel.join_cell(a, coords, cnd))
             return out
     raise TypeError(f"not a game expression: {g!r}")
@@ -408,19 +401,49 @@ def random_legal_environment(
     seed: int, g: GameExpr, itp: Interpretation, move_probability: float = 0.5
 ) -> Environment:
     """On each grant, with the given probability play one uniformly chosen
-    legal move from the candidate pool, else pass.  Pure per (seed, grant)."""
+    legal move from the candidate pool, else pass.  Pure per (seed, grant).
+
+    Candidates are filtered by one live ``LegalPosition`` per environment.
+    It folds only the labmoves a history has gained since the last one it
+    was asked about, and restarts from the empty position on any history
+    that does not extend that one, so the answer never depends on the order
+    of grants."""
 
     class RandomLegal(Environment):
         name = f"random:{seed}"
+
+        def __init__(self):
+            self._position = None
+            self._history: Run = ()  # the history folded into the position
+
+        def _follow(self, history: Run):
+            seen = len(self._history)
+            if (self._position is None or seen > len(history)
+                    or history[:seen] != self._history):
+                self._position = LegalPosition(g, itp)
+                seen = 0
+            self._position.absorb(history[seen:])
+            self._history = history
+
+        def _tree(self, at: str) -> kernel.BTStructure:
+            # the position's own tree where it keeps one; elsewhere (a
+            # tree-form recurrence below a recurrence or in a cirquent)
+            # the tree of the history's moves under ``at``
+            tree = self._position.tree(at)
+            if tree is None:
+                tree = kernel.bt_structure(kernel.strip_prefix(self._history, at))
+            return tree
 
         def on_grant(self, history, grant_no):
             rng = Random(f"{seed}:{grant_no}")
             if rng.random() >= move_probability:
                 return ()
-            pool = _move_candidates(g, itp, history, rng)
+            self._follow(history)
+            pool = _move_candidates(g, itp, self._tree, rng)
             rng.shuffle(pool)
+            position = self._position
             for mv in pool:
-                if legal_extension(g, itp, history, Labmove(BOT, mv)):
+                if position.allows(Labmove(BOT, mv)):
                     return (mv,)
             return ()
 

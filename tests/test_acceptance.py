@@ -16,7 +16,6 @@ from colog.kernel import (
     CirquentGame,
     Labmove,
     adjudicate,
-    class_reps,
     enumeration_game,
     first_illegal,
     is_delay,
@@ -45,6 +44,7 @@ from colog.strategies import (
 )
 from colog.syntax import Atom, CCoRec, CRec, UCoRec, URec, parse_formula
 
+from oracles import class_reps
 from test_calculus import RULE_ILLUSTRATIONS, load_corpus, mutate_proof
 
 CORPUS_PROOFS = [

@@ -12,12 +12,11 @@ from colog.kernel import (
     CirquentGame,
     FiniteAtomGame,
     Labmove,
+    LegalPosition,
     adjudicate,
     bt_structure,
-    cell_projections,
     cells_projections,
     class_addresses,
-    class_reps,
     enumeration_game,
     first_illegal,
     format_run,
@@ -34,7 +33,6 @@ from colog.kernel import (
     split_thread,
     strip_prefix,
     sum_parity_game,
-    thread_class_reps,
     thread_projections,
     winner,
 )
@@ -53,6 +51,15 @@ from colog.syntax import (
     URec,
     make_cirquent,
     negate,
+)
+
+from oracles import (
+    cell_projections,
+    class_reps,
+    leaf_prefix_of,
+    leaves_all_pairs,
+    legal_extension_by_projection,
+    thread_class_reps,
 )
 
 P = Atom("P")
@@ -241,8 +248,34 @@ class TestBTStructure:
 
     def test_leaf_prefix(self):
         t = bt_structure(run((BOT, ":"), (BOT, "1:")))
-        assert t.leaf_prefix_of("110") == "11"
-        assert t.leaf_prefix_of("00") == "0"
+        assert leaf_prefix_of(t, "110") == "11"
+        assert leaf_prefix_of(t, "00") == "0"
+
+    def test_leaves_match_all_pairs_definition(self):
+        # trees built by legal replications, each at a leaf of the tree so
+        # far, and by replications anywhere, on the tree or off it
+        rng = random.Random(15)
+        for anywhere in (False, True):
+            for _ in range(100):
+                pos = ()
+                for _ in range(rng.randint(0, 25)):
+                    t = bt_structure(pos)
+                    assert t.leaves() == leaves_all_pairs(t)
+                    assert all(t.is_leaf(u) == (u in t.leaves()) for u in t.nodes)
+                    if anywhere:
+                        w = "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
+                    else:
+                        w = rng.choice(t.leaves())
+                    pos += (Labmove(BOT, w + ":"),)
+                t = bt_structure(pos)
+                assert t.leaves() == leaves_all_pairs(t)
+
+    def test_off_tree_replication_keeps_its_ancestors_inner(self):
+        # after ":" and the off-tree "00:", the node "0" has the proper
+        # extension "000", so it is no leaf
+        t = bt_structure(run((BOT, ":"), (BOT, "00:")))
+        assert not t.is_leaf("0")
+        assert t.leaves() == ("1", "000", "001")
 
 
 class TestLegality:
@@ -303,10 +336,10 @@ class TestLegality:
 
 
 def first_illegal_by_prefixes(g, itp, g_run):
-    """Reference for first_illegal: the first labmove that legal_extension
-    rejects after the prefix before it."""
+    """Reference for first_illegal: the first labmove that the projecting
+    reference of legal_extension rejects after the prefix before it."""
     for i in range(len(g_run)):
-        if not legal_extension(g, itp, g_run[:i], g_run[i]):
+        if not legal_extension_by_projection(g, itp, g_run[:i], g_run[i]):
             return i
     return None
 
@@ -457,7 +490,8 @@ class TestFirstIllegal:
                 for _ in range(3):
                     at = rng.randint(0, len(g_run))
                     who = rng.choice([TOP, BOT])
-                    candidate = rng.choice(_move_candidates(g, ENUM, g_run[:at], rng))
+                    tree = lambda p, h=g_run[:at]: bt_structure(strip_prefix(h, p))
+                    candidate = rng.choice(_move_candidates(g, ENUM, tree, rng))
                     runs.append(g_run[:at] + (Labmove(who, bad),) + g_run[at:])
                     runs.append(g_run[:at] + (Labmove(who, candidate),) + g_run[at:])
                     if g_run:
@@ -482,6 +516,71 @@ class TestFirstIllegal:
         labmoves = st.builds(Labmove, st.sampled_from([TOP, BOT]), st.sampled_from(pool))
         g_run = tuple(data.draw(st.lists(labmoves, max_size=10)))
         assert_first_illegal_matches(g, itp, g_run)
+
+
+# nested tree-form recurrences, whose thread classes each keep a tree, and a
+# tree-form recurrence under a conjunction
+NESTED_SHAPES = [
+    OldCCoRec(OldCCoRec(NegAtom("P"))),
+    OldCRec(OldCRec(P)),
+    And(OldCRec(P), Q),
+    Or(Q, And(OldCCoRec(P), CRec(P))),
+]
+
+
+class TestLegalPosition:
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(st.data())
+    def test_property_fold_matches_projecting_reference(self, data):
+        g = data.draw(st.sampled_from(LEGALITY_SHAPES + NESTED_SHAPES))
+        itp = data.draw(st.sampled_from([ENUM, POSITIONAL]))
+        rng = random.Random(data.draw(st.integers(0, 3)))
+        pool = _move_pool(g, rng, size=8)
+        if data.draw(st.booleans()):
+            labmoves = st.builds(Labmove, st.sampled_from([TOP, BOT]), st.sampled_from(pool))
+            g_run = tuple(data.draw(st.lists(labmoves, max_size=10)))
+        else:
+            g_run = _mostly_legal_run(g, itp, rng, data.draw(st.integers(0, 10)), pool)
+        candidates = [Labmove(p, m) for p in (TOP, BOT) for m in pool]
+        position = LegalPosition(g, itp)
+        for i in range(len(g_run) + 1):
+            for lm in candidates:
+                want = legal_extension_by_projection(g, itp, g_run[:i], lm)
+                assert position.allows(lm) == want, (g, g_run[:i], lm)
+            for at in ("", "1.", "2.", "2.1."):
+                tree = position.tree(at)
+                if tree is not None:
+                    assert tree == bt_structure(strip_prefix(g_run[:i], at)), (g, at)
+            position.absorb(g_run[i:i + 1])
+        lm = candidates[0]
+        assert legal_extension(g, itp, g_run, lm) == legal_extension_by_projection(
+            g, itp, g_run, lm)
+
+    def test_deep_positions_match_projecting_reference(self):
+        # longer mostly legal runs, so that thread and coordinate classes
+        # split deep down
+        rng = random.Random(16)
+        cirquents = [g for g in LEGALITY_SHAPES if isinstance(g, CirquentGame)]
+        for g in NESTED_SHAPES + [CRec(And(P, CCoRec(Q))), CRec(OldCCoRec(P))] + cirquents:
+            for itp in (ENUM, POSITIONAL):
+                pool = _move_pool(g, rng, size=14)
+                g_run = _mostly_legal_run(g, itp, rng, 30, pool)
+                position = LegalPosition(g, itp)
+                position.absorb(g_run)
+                for lm in [Labmove(p, m) for p in (TOP, BOT) for m in pool]:
+                    assert position.allows(lm) == legal_extension_by_projection(
+                        g, itp, g_run, lm), (g, g_run, lm)
+
+
+    def test_cirquent_move_at_an_unsplit_coordinate_meets_every_class(self):
+        # BOT has moved twice in P's class 1... of the first coordinate; a
+        # third BOT move at the empty address there lies in that class too
+        g = CirquentGame(make_cirquent([P, CRec(Q)], [{1, 2}], [{1, 2}, {2}]))
+        position = LegalPosition(g, POSITIONAL)
+        position.absorb(run((BOT, "1;1,.0"), (BOT, "1;1,.1")))
+        assert not position.allows(Labmove(BOT, "1;,.2"))
+        assert position.allows(Labmove(BOT, "1;0,.2"))
+        assert position.allows(Labmove(TOP, "1;,.2"))
 
 
 class TestWinner:

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 
 from colog.kernel import (
@@ -6,9 +8,11 @@ from colog.kernel import (
     CirquentGame,
     Labmove,
     adjudicate,
+    bt_structure,
     enumeration_game,
     legal_extension,
     run,
+    strip_prefix,
 )
 from colog.machines import (
     DisciplineError,
@@ -17,6 +21,7 @@ from colog.machines import (
     SilentEnvironment,
     SilentMachine,
     SimConfig,
+    _move_candidates,
     compose_chain,
     compose_modus_ponens,
     random_legal_environment,
@@ -29,6 +34,8 @@ from colog.strategies import (
     BridgeOldToNew,
     LiteralCopycat,
     ThreadPromotion,
+    catalog_game,
+    catalog_machine,
     equivalence_game,
     equivalence_machine,
     synthesize,
@@ -36,6 +43,7 @@ from colog.strategies import (
 from colog.syntax import parse_formula
 
 from test_calculus import load_corpus
+from test_kernel import POSITIONAL
 
 ENUM = {"P": enumeration_game(), "Q": enumeration_game()}
 
@@ -291,3 +299,66 @@ class TestReplayability:
         clone = m.fresh()
         assert clone.next_moves(()) == ()
         assert m.next_moves(run((BOT, "1.m"))) == ("2.m",)
+
+
+def _catalog(name, itp=ENUM):
+    return lambda: (catalog_machine(name), catalog_game(name), itp)
+
+
+def _equivalence_env(text, direction):
+    f = parse_formula(text)
+    return lambda: (equivalence_machine(f, direction), equivalence_game(f, direction), ENUM)
+
+
+def _cirquent_env():
+    proof = load_corpus("crec_duplication")
+    return synthesize(proof), CirquentGame(proof.conclusion), POSITIONAL
+
+
+# games whose environment keeps state: tree-form recurrences, nested ones
+# whose thread classes each keep a tree, and positional atoms
+# (two_moves_each_game) under a recurrence and in a cirquent
+ENV_KINDS = {
+    "old-new": _catalog("bridge-old-new"),
+    "new-old": _catalog("bridge-new-old"),
+    "!c !c P TL": _equivalence_env("!c !c P", "TL"),
+    "!c !c P LT": _equivalence_env("!c !c P", "LT"),
+    "cirquent": _cirquent_env,
+    "positional": _catalog("bridge-old-new", POSITIONAL),
+}
+
+
+class TestEnvironmentReplay:
+    @pytest.mark.parametrize("kind", sorted(ENV_KINDS))
+    def test_answers_match_a_fresh_environment(self, kind):
+        machine, game, itp = ENV_KINDS[kind]()
+        runs = [
+            simulate(machine, random_legal_environment(seed, game, itp),
+                     SimConfig(horizon=50)).run
+            for seed in range(3)
+        ]
+        assert all(len(r) > 4 for r in runs)
+        # diverging histories of equal and growing length, and shorter ones
+        queries = []
+        for quarter in (1, 2, 3, 4):
+            for r in runs:
+                queries.append(r[: len(r) * quarter // 4])
+            queries.append(runs[0][: len(runs[0]) * quarter // 8])
+        queries += [runs[1][:i] for i in range(0, len(runs[1]) + 1, 3)]
+        probe = random_legal_environment(7, game, itp)
+        moved = 0
+        for n, h in enumerate(queries):
+            for grant_no in (n, n + 50):
+                answer = probe.on_grant(h, grant_no)
+                assert answer == random_legal_environment(7, game, itp).on_grant(
+                    h, grant_no), (kind, len(h), grant_no)
+                moved += bool(answer)
+            # once folded, the trees the candidates read are those of the
+            # history's components
+            if probe._history == h:
+                for s in range(2):
+                    assert _move_candidates(game, itp, probe._tree, Random(s)) == (
+                        _move_candidates(game, itp,
+                                         lambda at: bt_structure(strip_prefix(h, at)),
+                                         Random(s)))
+        assert moved > len(queries) // 2

@@ -29,7 +29,6 @@ from colog.kernel import (
     split_thread,
     strip_prefix,
     sum_parity_game,
-    thread_class_reps,
     top_played_game,
 )
 from colog.machines import (
@@ -75,6 +74,8 @@ from colog.syntax import (
     make_cirquent,
     parse_formula,
 )
+
+from oracles import class_reps, thread_class_reps
 
 pf = parse_formula
 ENUM = {"P": enumeration_game(), "Q": enumeration_game()}
@@ -183,8 +184,6 @@ class TestAxiomCopycat:
 def _address_reps(g_run):
     """Class representatives drawn from every thread address in both
     components of a two-component run."""
-    from colog.kernel import class_reps
-
     used = []
     for lm in g_run:
         p = split_indexed(lm.move)
@@ -197,8 +196,6 @@ def _address_reps(g_run):
 
 
 def _cell_reps(g_run, n_coords):
-    from colog.kernel import thread_class_reps
-
     return thread_class_reps(g_run, n_coords)
 
 
