@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .bits import InfBits, ZEROS
+from .bits import InfBits
 from .syntax import (
     And,
     Atom,
@@ -290,6 +290,11 @@ class BTStructure:
                 break
             w = w[:-1]
 
+    def copy(self) -> "BTStructure":
+        new = BTStructure()
+        new.nodes, new._inner = set(self.nodes), set(self._inner)
+        return new
+
     def is_node(self, w: str) -> bool:
         return w in self.nodes
 
@@ -325,10 +330,11 @@ class FiniteAtomGame:
     """A concrete game on finite runs.
 
     ``legal(position, labmove)`` decides single-move legality (legality of a
-    run is the conjunction over its prefixes).  ``winner(run)`` is total on
-    finite legal runs and treats the run as final.  ``suggest(position)``
-    feeds candidate moves to random environments; it carries no promise of
-    legality.
+    run is the conjunction over its prefixes).  The position may be the
+    live list of labmoves, so ``legal`` must neither keep nor change it.
+    ``winner(run)`` is total on finite legal runs and treats the run as
+    final.  ``suggest(position)`` feeds candidate moves to random
+    environments; it carries no promise of legality.
     """
 
     name: str
@@ -444,18 +450,7 @@ def position_free(g: GameExpr, itp: Interpretation) -> bool:
     themselves position-free; the replication-tree recurrences are always
     positional (their moves must track the current tree).
     """
-    match g:
-        case Atom(name) | NegAtom(name):
-            return _atom_game(itp, name).position_free
-        case And(l, r) | Or(l, r):
-            return position_free(l, itp) and position_free(r, itp)
-        case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
-            return position_free(body, itp)
-        case OldCRec(_) | OldCCoRec(_):
-            return False
-        case CirquentGame(c):
-            return all(position_free(f, itp) for f in c.oformulas)
-    raise TypeError(f"not a game expression: {g!r}")
+    return not _position(g, itp).stateful
 
 
 def _legal_single(g: GameExpr, itp: Interpretation, lm: Labmove) -> bool:
@@ -494,14 +489,14 @@ class LegalPosition:
     """A live legality position of one game: a fold over a run that answers
     whether a labmove may extend it.
 
-    ``absorb`` folds labmoves onto the position, ``allows`` asks about one
-    more.  The answer is ``legal_extension``'s for the run folded so far,
-    for any run, legal or not.  A position-free subgame keeps no state and
-    is asked about the labmove alone.  ``&``/``|`` keep one sub-position per
+    ``absorb`` folds labmoves onto the position, legal or not; ``allows``
+    asks about one more.  A position-free subgame keeps no state and is
+    asked about the labmove alone.  ``&``/``|`` keep one sub-position per
     component, and a tree-form recurrence keeps its replication tree.  A
-    recurrence or cirquent over a positional body keeps its run; a candidate
-    then asks a fresh position of the body about the run's projection onto
-    each class below the candidate's address.
+    recurrence or cirquent over a positional body keeps one body position
+    per thread or joint coordinate class (``_Classes``), and allows a
+    labmove iff every class its address meets does.  ``legal_extension``
+    and ``first_illegal`` are this fold.
     """
 
     def __init__(self, g: GameExpr, itp: Interpretation):
@@ -534,7 +529,7 @@ def legal_extension(g: GameExpr, itp: Interpretation, pos: Run, lm: Labmove) -> 
 
     The one-shot form of ``LegalPosition``: fold ``pos``, then ask about
     ``lm``.  Malformed move shapes answer False; that is the illegality
-    signal.  Whole runs are judged by ``first_illegal``.
+    signal.  Whole runs are judged by ``first_illegal``, the same fold.
     """
     position = LegalPosition(g, itp)
     position.absorb(pos)
@@ -549,7 +544,7 @@ def _position(g: GameExpr, itp: Interpretation):
             game = _atom_game(itp, name)
             if game.position_free:
                 return _Free(g, itp)
-            return _AtomPosition(game, isinstance(g, NegAtom))
+            return _AtomPosition(game, isinstance(g, NegAtom), [])
         case And(l, r) | Or(l, r):
             subs = (_position(l, itp), _position(r, itp))
             if not (subs[0].stateful or subs[1].stateful):
@@ -559,29 +554,43 @@ def _position(g: GameExpr, itp: Interpretation):
             sub = _position(body, itp)
             if not sub.stateful:
                 return _Free(g, itp)
-            return _RecPosition(body, itp, sub, None)
+            return _RecPosition(None, None, _Classes.empty(sub, 1))
         case OldCRec(body) | OldCCoRec(body):
             replicator = BOT if isinstance(g, OldCRec) else TOP
-            return _RecPosition(body, itp, _position(body, itp), replicator)
+            sub = _position(body, itp)
+            return _RecPosition(replicator, BTStructure(),
+                                _Classes.empty(sub, 1) if sub.stateful else sub)
         case CirquentGame(c):
             subs = [_position(f, itp) for f in c.oformulas]
             if not any(sub.stateful for sub in subs):
                 return _Free(g, itp)
-            return _CirquentPosition(c, itp, subs)
+            n = len(c.overgroups)
+            return _CirquentPosition(c, [_Classes.empty(sub, n) if sub.stateful else sub
+                                         for sub in subs])
     raise TypeError(f"not a game expression: {g!r}")
 
 
 class _Free:
-    """A position-free subgame: no state, answered by ``_legal_single``."""
+    """A position-free subgame: no state.  ``_legal_single`` answers each
+    distinct labmove once, since the answer depends on the labmove alone;
+    answers are kept by move per player, as hashing a Labmove calls
+    ``Player``'s Python-level ``__hash__``."""
 
-    __slots__ = ("g", "itp")
+    __slots__ = ("g", "itp", "seen")
     stateful = False
 
     def __init__(self, g, itp):
-        self.g, self.itp = g, itp
+        self.g, self.itp, self.seen = g, itp, ({}, {})
 
     def allows(self, lm):
-        return _legal_single(self.g, self.itp, lm)
+        seen = self.seen[lm.player is TOP]
+        ok = seen.get(lm.move)
+        if ok is None:
+            ok = seen[lm.move] = _legal_single(self.g, self.itp, lm)
+        return ok
+
+    def clone(self):
+        return self
 
 
 class _AtomPosition:
@@ -590,8 +599,8 @@ class _AtomPosition:
     __slots__ = ("game", "negated", "run")
     stateful = True
 
-    def __init__(self, game, negated):
-        self.game, self.negated, self.run = game, negated, []
+    def __init__(self, game, negated, run_):
+        self.game, self.negated, self.run = game, negated, run_
 
     def absorb(self, lm):
         self.run.append(Labmove(lm.player.flip(), lm.move) if self.negated else lm)
@@ -599,7 +608,10 @@ class _AtomPosition:
     def allows(self, lm):
         if self.negated:
             lm = Labmove(lm.player.flip(), lm.move)
-        return self.game.legal(tuple(self.run), lm)
+        return self.game.legal(self.run, lm)
+
+    def clone(self):
+        return _AtomPosition(self.game, self.negated, list(self.run))
 
 
 class _ParPosition:
@@ -624,23 +636,95 @@ class _ParPosition:
             return False
         return self.subs[parsed[0] - 1].allows(Labmove(lm.player, parsed[1]))
 
+    def clone(self):
+        return _ParPosition(tuple(sub.clone() for sub in self.subs))
+
+
+class _Classes:
+    """The thread classes of a recurrence's run (one coordinate), or the
+    joint coordinate classes of one cirquent cell's run (n coordinates),
+    with one live body position per joint class.
+
+    Each coordinate keeps an antichain of class addresses covering every
+    infinite address, starting from the empty one; the joint classes are
+    the tuples of one class per coordinate.  A move at u that properly
+    extends a class a splits a into the path siblings from a to u and u
+    itself, each starting as a copy of a's positions.  The move then lands
+    in every class it meets: the class that holds u, or every class under
+    u.  A class splits only where its threads' projections differ, so one
+    position answers for all of its threads.
+    """
+
+    __slots__ = ("coords", "positions")
+
+    def __init__(self, coords, positions):
+        self.coords, self.positions = coords, positions
+
+    @classmethod
+    def empty(cls, body, n):
+        """One class per coordinate, the empty address, holding ``body``."""
+        return cls([{""} for _ in range(n)], {("",) * n: body})
+
+    def absorb(self, coords, lm):
+        for key in self._met(coords, split=True):
+            self.positions[key].absorb(lm)
+
+    def allows(self, coords, lm):
+        return all(self.positions[key].allows(lm) for key in self._met(coords))
+
+    def clone(self):
+        return _Classes([set(antichain) for antichain in self.coords],
+                        {key: pos.clone() for key, pos in self.positions.items()})
+
+    def _met(self, coords, split=False):
+        """The joint classes whose threads pass through ``coords``; with
+        ``split``, a class that holds a coordinate properly is split there
+        first."""
+        picks = []
+        for j, u in enumerate(coords):
+            antichain = self.coords[j]
+            holder = next((u[:k] for k in range(len(u) + 1) if u[:k] in antichain), None)
+            if holder is None:
+                under, stack = [], [u]
+                while stack:  # the classes are the leaves of a full binary tree
+                    v = stack.pop()
+                    if v in antichain:
+                        under.append(v)
+                    else:
+                        stack += (v + "0", v + "1")
+                picks.append(under)
+            else:
+                if split and holder != u:
+                    self._split(j, holder, u)
+                    holder = u
+                picks.append((holder,))
+        return itertools.product(*picks)
+
+    def _split(self, j, a, u):
+        new = [u[:k] + "10"[int(u[k])] for k in range(len(a), len(u))] + [u]
+        antichain = self.coords[j]
+        antichain.remove(a)
+        antichain.update(new)
+        rows = [(a,) if i == j else tuple(others) for i, others in enumerate(self.coords)]
+        for key in itertools.product(*rows):
+            pos = self.positions.pop(key)
+            for b in new[:-1]:
+                self.positions[key[:j] + (b,) + key[j + 1:]] = pos.clone()
+            self.positions[key[:j] + (u,) + key[j + 1:]] = pos
+
 
 class _RecPosition:
     """A recurrence over a positional body, or a tree-form recurrence.  The
     tree-form ones keep their replication tree and allow a replication by
-    ``replicator`` only, at a leaf.  A positional body keeps the run's
-    thread moves and the addresses they use; a position-free one is asked
-    about the labmove alone."""
+    ``replicator`` only, at a leaf.  ``body`` is the thread classes'
+    ``_Classes`` for a positional body; a position-free body is asked about
+    the labmove alone."""
 
-    __slots__ = ("body", "itp", "free", "replicator", "tree", "run", "used")
+    __slots__ = ("replicator", "tree", "body")
     stateful = True
 
-    def __init__(self, body, itp, sub, replicator):
-        self.body, self.itp, self.replicator = body, itp, replicator
-        self.free = None if sub.stateful else sub
-        self.tree = None if replicator is None else BTStructure()
-        self.run: list[Labmove] = []
-        self.used: set[str] = set()
+    def __init__(self, replicator, tree, body):
+        self.replicator, self.tree, self.body = replicator, tree, body
 
     def absorb(self, lm):
         parsed = split_thread(lm.move)
@@ -650,9 +734,8 @@ class _RecPosition:
         if rest is None:
             if self.tree is not None:
                 self.tree.replicate(w)
-        elif self.free is None:
-            self.run.append(lm)
-            self.used.add(w)
+        elif isinstance(self.body, _Classes):
+            self.body.absorb((w,), Labmove(lm.player, rest))
 
     def allows(self, lm):
         parsed = split_thread(lm.move)
@@ -665,33 +748,32 @@ class _RecPosition:
         if tree is not None and not tree.is_node(w):
             return False
         inner = Labmove(lm.player, rest)
-        if self.free is not None:
-            return self.free.allows(inner)
-        return all(
-            legal_extension(self.body, self.itp, project_thread(self.run, InfBits(a, ZEROS)), inner)
-            for a in class_addresses(self.used, below=w))
+        if isinstance(self.body, _Classes):
+            return self.body.allows((w,), inner)
+        return self.body.allows(inner)
+
+    def clone(self):
+        tree = None if self.tree is None else self.tree.copy()
+        return _RecPosition(self.replicator, tree, self.body.clone())
 
 
 class _CirquentPosition:
-    """A cirquent with a positional oformula: it keeps the run's cell moves
-    and the addresses they use in each coordinate.  A position-free
-    oformula is asked about the labmove alone."""
+    """A cirquent with a positional oformula: per cell, the ``_Classes`` of
+    its moves for a positional oformula; a position-free one is asked about
+    the labmove alone."""
 
-    __slots__ = ("c", "itp", "free", "run", "used")
+    __slots__ = ("c", "cells")
     stateful = True
 
-    def __init__(self, c: Cirquent, itp, subs):
-        self.c, self.itp = c, itp
-        self.free = [None if sub.stateful else sub for sub in subs]
-        self.run: list[Labmove] = []
-        self.used: list[set[str]] = [set() for _ in c.overgroups]
+    def __init__(self, c: Cirquent, cells):
+        self.c, self.cells = c, cells
 
     def absorb(self, lm):
         parsed = split_cell(lm.move, len(self.c.overgroups))
         if parsed is not None:
-            self.run.append(lm)
-            for used, u in zip(self.used, parsed[1]):
-                used.add(u)
+            a, coords, rest = parsed
+            if 1 <= a <= len(self.cells) and isinstance(self.cells[a - 1], _Classes):
+                self.cells[a - 1].absorb(coords, Labmove(lm.player, rest))
 
     def allows(self, lm):
         c = self.c
@@ -703,119 +785,35 @@ class _CirquentPosition:
             return False
         if any(u != "" and a not in og for u, og in zip(coords, c.overgroups)):
             return False
-        inner = Labmove(lm.player, rest)
-        if self.free[a - 1] is not None:
-            return self.free[a - 1].allows(inner)
-        pools = [class_addresses(used, below=u) for used, u in zip(self.used, coords)]
-        return all(
-            legal_extension(c.oformulas[a - 1], self.itp,
-                            project_cell(self.run, a, [InfBits(x, ZEROS) for x in xs]), inner)
-            for xs in itertools.product(*pools))
+        cell, inner = self.cells[a - 1], Labmove(lm.player, rest)
+        if isinstance(cell, _Classes):
+            return cell.allows(coords, inner)
+        return cell.allows(inner)
+
+    def clone(self):
+        return _CirquentPosition(self.c, [cell.clone() for cell in self.cells])
 
 
 def first_illegal(g: GameExpr, itp: Interpretation, run_: Run) -> int | None:
     """Index of the run's first illegal labmove, or None for a legal run.
 
-    A run whose first offending move is labeled p is lost by p, and this
-    names that move in one pass over the run.  A node's answer is the
-    earliest of its own first structural fault (a malformed move, a component
-    or oformula out of range, a coordinate outside an overgroup, a
-    replication by the wrong player or off a leaf, an address off the
-    replication tree) and the first fault of each projection onto a
-    component, thread class or cell, mapped back to its index in the run.
-    This equals the first prefix that ``legal_extension`` rejects, because
-    the projections of a prefix are prefixes of the projections.  The cost is
-    linear in the run times its classes.
+    A run whose first offending move is labeled p is lost by p.  This is the
+    ``LegalPosition`` fold over the run: it names the first labmove a fresh
+    position does not allow, the first one ``legal_extension`` rejects after
+    its prefix.  In a position-free game each distinct labmove is checked
+    once.  The cost is linear in the run times the classes each move meets.
     """
-    if position_free(g, itp):
-        # single-move legality depends on the labmove alone: check each once
-        bad = {lm for lm in dict.fromkeys(run_) if not _legal_single(g, itp, lm)}
-        return next((i for i, lm in enumerate(run_) if lm in bad), None) if bad else None
-    match g:
-        case Atom(name):
-            game = _atom_game(itp, name)
-            return next(
-                (i for i in range(len(run_)) if not game.legal(run_[:i], run_[i])), None
-            )
-        case NegAtom(name):
-            return first_illegal(Atom(name), itp, negate_run(run_))
-        case And(l, r) | Or(l, r):
-            end = _first(run_, lambda lm: split_indexed(lm.move) is None)
-            return _first_in_parts(itp, run_, end, lambda h: [
-                (l, strip_prefix(h, "1.")), (r, strip_prefix(h, "2."))])
-        case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
-            end = _first(run_, lambda lm: (t := split_thread(lm.move)) is None or t[1] is None)
-            return _first_in_parts(itp, run_, end, lambda h: [
-                (body, sub) for sub in thread_projections(h)])
-        case OldCRec(body) | OldCCoRec(body):
-            replicator = BOT if isinstance(g, OldCRec) else TOP
-            nodes = {""}
-
-            def off_tree(lm):
-                t = split_thread(lm.move)
-                if t is None:
-                    return True
-                w, rest = t
-                if rest is not None:
-                    return w not in nodes
-                # replicative: only the replicator, only at a current leaf
-                if lm.player is not replicator or w not in nodes or (w + "0") in nodes:
-                    return True
-                nodes.update((w + "0", w + "1"))
-                return False
-
-            end = _first(run_, off_tree)
-            return _first_in_parts(itp, run_, end, lambda h: [
-                (body, sub) for sub in thread_projections(h)])
-        case CirquentGame(c):
-            n = len(c.overgroups)
-
-            def malformed(lm):
-                parsed = split_cell(lm.move, n)
-                if parsed is None:
-                    return True
-                a, coords, _ = parsed
-                return not 1 <= a <= len(c.oformulas) or any(
-                    u != "" and a not in og for u, og in zip(coords, c.overgroups))
-
-            end = _first(run_, malformed)
-            return _first_in_parts(itp, run_, end, lambda h: [
-                (c.oformulas[a - 1], sub)
-                for a, subs in cells_projections(h, range(1, len(c.oformulas) + 1), n).items()
-                for sub in subs])
-    raise TypeError(f"not a game expression: {g!r}")
-
-
-def _first(run_: Run, fault: Callable[[Labmove], bool]) -> int:
-    """Index of the first labmove with the fault, or the run's length."""
-    return next((i for i, lm in enumerate(run_) if fault(lm)), len(run_))
-
-
-def _first_in_parts(
-    itp: Interpretation, run_: Run, end: int, parts: Callable[[Run], list]
-) -> int | None:
-    """The earliest of ``end`` (a node's first structural fault, or the run's
-    length) and the first fault of each part of ``run_[:end]``, as
-    (sub-game, projected run) pairs from ``parts``; None if there is none.
-
-    Projections copy labels unchanged, so projecting the run with each label
-    replaced by its index names the run index of every projected move.
-    """
-    head = run_[:end]
-    faults = [
-        (c, k)
-        for c, (sub_g, sub) in enumerate(parts(head))
-        if (k := first_illegal(sub_g, itp, sub)) is not None
-    ]
-    if faults:
-        where = parts(tuple(Labmove(i, lm.move) for i, lm in enumerate(head)))
-        return min(where[c][1][k].player for c, k in faults)
-    return end if end < len(run_) else None
+    node = _position(g, itp)
+    for i, lm in enumerate(run_):
+        if not node.allows(lm):
+            return i
+        if node.stateful:
+            node.absorb(lm)
+    return None
 
 
 def legal_run(g: GameExpr, itp: Interpretation, run_: Run) -> bool:
-    """Whole-run legality: the one ``first_illegal`` pass, linear in the run
-    times its classes, finds no offender."""
+    """Whole-run legality: the ``first_illegal`` fold finds no offender."""
     return first_illegal(g, itp, run_) is None
 
 
@@ -835,9 +833,9 @@ def winner(g: GameExpr, itp: Interpretation, run_: Run) -> Player:
 def adjudicate(g: GameExpr, itp: Interpretation, run_: Run) -> tuple[bool, Player]:
     """(legality, winner) of a finite run.
 
-    One ``first_illegal`` pass, linear in the run times its classes, names
-    the offender of an illegal run, which its opponent wins; a legal run is
-    then evaluated by the winner clauses.
+    The ``first_illegal`` fold names the offender of an illegal run, which
+    its opponent wins; a legal run is then evaluated by the winner clauses,
+    which alone project the run onto thread and coordinate classes.
     """
     bad = first_illegal(g, itp, run_)
     if bad is not None:

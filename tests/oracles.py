@@ -21,7 +21,6 @@ from colog.kernel import (
     cells_projections,
     class_addresses,
     negate_run,
-    position_free,
     project_cell,
     project_thread,
     split_cell,
@@ -102,11 +101,28 @@ def leaf_prefix_of(tree, w):
     return None
 
 
+def position_free_by_structure(g, itp):
+    """Single-move legality never reads the position: every atom below
+    declares itself position-free, and there is no tree-form recurrence."""
+    match g:
+        case Atom(name) | NegAtom(name):
+            return _atom_game(itp, name).position_free
+        case And(l, r) | Or(l, r):
+            return position_free_by_structure(l, itp) and position_free_by_structure(r, itp)
+        case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
+            return position_free_by_structure(body, itp)
+        case OldCRec(_) | OldCCoRec(_):
+            return False
+        case CirquentGame(c):
+            return all(position_free_by_structure(f, itp) for f in c.oformulas)
+    raise TypeError(f"not a game expression: {g!r}")
+
+
 def legal_extension_by_projection(g, itp, pos, lm):
     """Is ``pos + lm`` still legal?  Each node below a positional one is
     asked about the projection of the whole position onto every class below
     the move's address."""
-    if position_free(g, itp):
+    if position_free_by_structure(g, itp):
         return _legal_single(g, itp, lm)
     match g:
         case Atom(name):

@@ -26,6 +26,7 @@ from colog.kernel import (
     legal_run,
     negate_run,
     parse_run,
+    position_free,
     project_cell,
     project_thread,
     run,
@@ -59,6 +60,7 @@ from oracles import (
     leaf_prefix_of,
     leaves_all_pairs,
     legal_extension_by_projection,
+    position_free_by_structure,
     thread_class_reps,
 )
 
@@ -388,6 +390,16 @@ LEGALITY_SHAPES = [
 ]
 
 
+# nested tree-form recurrences, whose thread classes each keep a tree, and a
+# tree-form recurrence under a conjunction
+NESTED_SHAPES = [
+    OldCCoRec(OldCCoRec(NegAtom("P"))),
+    OldCRec(OldCRec(P)),
+    And(OldCRec(P), Q),
+    Or(Q, And(OldCCoRec(P), CRec(P))),
+]
+
+
 def _move_pool(g, rng, size=10):
     """Moves for g, legal and not: malformed shapes, components and
     oformulas out of range, replications by either player anywhere,
@@ -510,22 +522,12 @@ class TestFirstIllegal:
     @settings(derandomize=True, deadline=None, max_examples=300, database=None)
     @given(st.data())
     def test_property_first_illegal_is_first_rejected_prefix(self, data):
-        g = data.draw(st.sampled_from(LEGALITY_SHAPES))
+        g = data.draw(st.sampled_from(LEGALITY_SHAPES + NESTED_SHAPES))
         itp = data.draw(st.sampled_from([ENUM, POSITIONAL]))
         pool = _move_pool(g, random.Random(data.draw(st.integers(0, 3))), size=12)
         labmoves = st.builds(Labmove, st.sampled_from([TOP, BOT]), st.sampled_from(pool))
         g_run = tuple(data.draw(st.lists(labmoves, max_size=10)))
         assert_first_illegal_matches(g, itp, g_run)
-
-
-# nested tree-form recurrences, whose thread classes each keep a tree, and a
-# tree-form recurrence under a conjunction
-NESTED_SHAPES = [
-    OldCCoRec(OldCCoRec(NegAtom("P"))),
-    OldCRec(OldCRec(P)),
-    And(OldCRec(P), Q),
-    Or(Q, And(OldCCoRec(P), CRec(P))),
-]
 
 
 class TestLegalPosition:
@@ -542,6 +544,7 @@ class TestLegalPosition:
         else:
             g_run = _mostly_legal_run(g, itp, rng, data.draw(st.integers(0, 10)), pool)
         candidates = [Labmove(p, m) for p in (TOP, BOT) for m in pool]
+        assert position_free(g, itp) == position_free_by_structure(g, itp)
         position = LegalPosition(g, itp)
         for i in range(len(g_run) + 1):
             for lm in candidates:
@@ -571,6 +574,32 @@ class TestLegalPosition:
                     assert position.allows(lm) == legal_extension_by_projection(
                         g, itp, g_run, lm), (g, g_run, lm)
 
+
+    @pytest.mark.parametrize("g, history, allowed, rejected", [
+        # BOT's move at 0 splits the root class into 0 and 1, and BOT's
+        # move at the root then lands in both; TOP has moved twice in 1
+        (CRec(P),
+         run((BOT, "0.1"), (BOT, ".2"), (TOP, "1.5"), (TOP, "1.6")),
+         ["B 1.3", "T 0.7", "T 00.7"],
+         ["B 0.3", "B 00.3", "B .3", "T .7", "T 1.7", "T 10.7"]),
+        (OldCRec(P),
+         run((BOT, ":"), (BOT, "0:"), (BOT, "0.1"), (BOT, ".2"), (TOP, "1.5"), (TOP, "1.6")),
+         ["B 1.3", "B 1:", "T 0.7", "T 00.7"],
+         ["B 0.3", "B 00.3", "B 01.3", "B .3", "B 10.3", "T .7", "T 1.7", "T 1:"]),
+        # both coordinates split at BOT's first move; its second meets all
+        # four joint classes, so the class (0, 1) is full
+        (CirquentGame(make_cirquent([P, Q], [{1, 2}], [{1, 2}, {1}])),
+         run((BOT, "1;0,1.1"), (BOT, "1;,.2")),
+         ["B 1;1,.3", "B 1;0,0.3", "B 1;1,1.3", "T 1;,.3", "B 2;0,.3"],
+         ["B 1;0,.3", "B 1;,1.3", "B 1;00,11.3", "B 1;01,.3", "B 1;,.3", "B 2;0,1.3"]),
+    ])
+    def test_stateful_classes_split(self, g, history, allowed, rejected):
+        position = LegalPosition(g, POSITIONAL)
+        position.absorb(history)
+        for text, want in [(t, True) for t in allowed] + [(t, False) for t in rejected]:
+            lm = parse_run(text)[0]
+            assert position.allows(lm) is want, text
+            assert legal_extension_by_projection(g, POSITIONAL, history, lm) is want, text
 
     def test_cirquent_move_at_an_unsplit_coordinate_meets_every_class(self):
         # BOT has moved twice in P's class 1... of the first coordinate; a
