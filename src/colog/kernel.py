@@ -42,6 +42,9 @@ class Player(enum.Enum):
     TOP = "T"
     BOT = "B"
 
+    # singletons compared by identity; Enum's own hash is a Python-level call
+    __hash__ = object.__hash__
+
     def flip(self) -> "Player":
         return Player.BOT if self is Player.TOP else Player.TOP
 
@@ -56,6 +59,9 @@ BOT = Player.BOT
 class Labmove(NamedTuple):
     player: Player
     move: str
+
+    def __deepcopy__(self, memo):  # immutable, so a forked machine shares it
+        return self
 
 
 Run = tuple[Labmove, ...]
@@ -494,7 +500,7 @@ class LegalPosition:
     asked about the labmove alone.  ``&``/``|`` keep one sub-position per
     component, and a tree-form recurrence keeps its replication tree.  A
     recurrence or cirquent over a positional body keeps one body position
-    per thread or joint coordinate class (``_Classes``), and allows a
+    per thread or joint coordinate class (``ThreadClasses``), and allows a
     labmove iff every class its address meets does.  ``legal_extension``
     and ``first_illegal`` are this fold.
     """
@@ -554,39 +560,36 @@ def _position(g: GameExpr, itp: Interpretation):
             sub = _position(body, itp)
             if not sub.stateful:
                 return _Free(g, itp)
-            return _RecPosition(None, None, _Classes.empty(sub, 1))
+            return _RecPosition(None, None, ThreadClasses.empty(sub, 1))
         case OldCRec(body) | OldCCoRec(body):
             replicator = BOT if isinstance(g, OldCRec) else TOP
             sub = _position(body, itp)
             return _RecPosition(replicator, BTStructure(),
-                                _Classes.empty(sub, 1) if sub.stateful else sub)
+                                ThreadClasses.empty(sub, 1) if sub.stateful else sub)
         case CirquentGame(c):
             subs = [_position(f, itp) for f in c.oformulas]
             if not any(sub.stateful for sub in subs):
                 return _Free(g, itp)
             n = len(c.overgroups)
-            return _CirquentPosition(c, [_Classes.empty(sub, n) if sub.stateful else sub
-                                         for sub in subs])
+            return _CirquentPosition(c, [ThreadClasses.empty(sub, n) if sub.stateful
+                                         else sub for sub in subs])
     raise TypeError(f"not a game expression: {g!r}")
 
 
 class _Free:
     """A position-free subgame: no state.  ``_legal_single`` answers each
-    distinct labmove once, since the answer depends on the labmove alone;
-    answers are kept by move per player, as hashing a Labmove calls
-    ``Player``'s Python-level ``__hash__``."""
+    distinct labmove once, since the answer depends on the labmove alone."""
 
     __slots__ = ("g", "itp", "seen")
     stateful = False
 
     def __init__(self, g, itp):
-        self.g, self.itp, self.seen = g, itp, ({}, {})
+        self.g, self.itp, self.seen = g, itp, {}
 
     def allows(self, lm):
-        seen = self.seen[lm.player is TOP]
-        ok = seen.get(lm.move)
+        ok = self.seen.get(lm)
         if ok is None:
-            ok = seen[lm.move] = _legal_single(self.g, self.itp, lm)
+            ok = self.seen[lm] = _legal_single(self.g, self.itp, lm)
         return ok
 
     def clone(self):
@@ -640,19 +643,21 @@ class _ParPosition:
         return _ParPosition(tuple(sub.clone() for sub in self.subs))
 
 
-class _Classes:
+class ThreadClasses:
     """The thread classes of a recurrence's run (one coordinate), or the
     joint coordinate classes of one cirquent cell's run (n coordinates),
-    with one live body position per joint class.
+    with one live position per joint class.  Legality keeps a body position
+    per class; ``strategies.ThreadPromotion`` keeps a play of its inner
+    machine per class.
 
     Each coordinate keeps an antichain of class addresses covering every
     infinite address, starting from the empty one; the joint classes are
     the tuples of one class per coordinate.  A move at u that properly
     extends a class a splits a into the path siblings from a to u and u
-    itself, each starting as a copy of a's positions.  The move then lands
-    in every class it meets: the class that holds u, or every class under
-    u.  A class splits only where its threads' projections differ, so one
-    position answers for all of its threads.
+    itself: a's position goes to u and each sibling gets a clone.  The move
+    then lands in every class it meets: the class that holds u, or every
+    class under u.  A class splits only where its threads' projections
+    differ, so one position answers for all of its threads.
     """
 
     __slots__ = ("coords", "positions")
@@ -673,8 +678,8 @@ class _Classes:
         return all(self.positions[key].allows(lm) for key in self._met(coords))
 
     def clone(self):
-        return _Classes([set(antichain) for antichain in self.coords],
-                        {key: pos.clone() for key, pos in self.positions.items()})
+        return ThreadClasses([set(antichain) for antichain in self.coords],
+                             {key: pos.clone() for key, pos in self.positions.items()})
 
     def _met(self, coords, split=False):
         """The joint classes whose threads pass through ``coords``; with
@@ -716,9 +721,8 @@ class _Classes:
 class _RecPosition:
     """A recurrence over a positional body, or a tree-form recurrence.  The
     tree-form ones keep their replication tree and allow a replication by
-    ``replicator`` only, at a leaf.  ``body`` is the thread classes'
-    ``_Classes`` for a positional body; a position-free body is asked about
-    the labmove alone."""
+    ``replicator`` only, at a leaf.  ``body`` is the ``ThreadClasses`` of a
+    positional body; a position-free body is asked about the labmove alone."""
 
     __slots__ = ("replicator", "tree", "body")
     stateful = True
@@ -734,7 +738,7 @@ class _RecPosition:
         if rest is None:
             if self.tree is not None:
                 self.tree.replicate(w)
-        elif isinstance(self.body, _Classes):
+        elif isinstance(self.body, ThreadClasses):
             self.body.absorb((w,), Labmove(lm.player, rest))
 
     def allows(self, lm):
@@ -748,7 +752,7 @@ class _RecPosition:
         if tree is not None and not tree.is_node(w):
             return False
         inner = Labmove(lm.player, rest)
-        if isinstance(self.body, _Classes):
+        if isinstance(self.body, ThreadClasses):
             return self.body.allows((w,), inner)
         return self.body.allows(inner)
 
@@ -758,9 +762,9 @@ class _RecPosition:
 
 
 class _CirquentPosition:
-    """A cirquent with a positional oformula: per cell, the ``_Classes`` of
-    its moves for a positional oformula; a position-free one is asked about
-    the labmove alone."""
+    """A cirquent with a positional oformula: per cell, the ``ThreadClasses``
+    of its moves for a positional oformula; a position-free one is asked
+    about the labmove alone."""
 
     __slots__ = ("c", "cells")
     stateful = True
@@ -772,7 +776,7 @@ class _CirquentPosition:
         parsed = split_cell(lm.move, len(self.c.overgroups))
         if parsed is not None:
             a, coords, rest = parsed
-            if 1 <= a <= len(self.cells) and isinstance(self.cells[a - 1], _Classes):
+            if 1 <= a <= len(self.cells) and isinstance(self.cells[a - 1], ThreadClasses):
                 self.cells[a - 1].absorb(coords, Labmove(lm.player, rest))
 
     def allows(self, lm):
@@ -786,7 +790,7 @@ class _CirquentPosition:
         if any(u != "" and a not in og for u, og in zip(coords, c.overgroups)):
             return False
         cell, inner = self.cells[a - 1], Labmove(lm.player, rest)
-        if isinstance(cell, _Classes):
+        if isinstance(cell, ThreadClasses):
             return cell.allows(coords, inner)
         return cell.allows(inner)
 

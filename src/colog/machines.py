@@ -17,7 +17,8 @@ with fresh inner machines, so the answer never depends on the order of
 queries.  ``DueMachine`` (a fold of owed responses), ``Translator`` and
 ``Router`` ("imaginary play": inner machines re-run on tapes derived from
 the real one, their moves translated back) and the thread promotion of
-``strategies`` are all built on it.
+``strategies`` are all built on it.  The promotion keeps a play per live
+thread class in a ``kernel.ThreadClasses``; a split forks it by ``fresh``.
 
 The random legal environment keeps the same contract with its own fold: one
 live ``kernel.LegalPosition``, whose replication trees its candidates also
@@ -61,7 +62,9 @@ class MachineStrategy:
         raise NotImplementedError
 
     def fresh(self) -> "MachineStrategy":
-        """An independent copy with pristine caches."""
+        """An independent copy, caches included.  By the replay contract a
+        cache only speeds up histories that extend the last one asked about,
+        so a copy of a queried machine answers as the machine would."""
         return copy.deepcopy(self)
 
     def __repr__(self):
@@ -146,7 +149,7 @@ class ReplayMachine(MachineStrategy):
 class _Play:
     """An inner machine played on an imaginary tape: the machine, the tape it
     has seen, its moves there in order, and how many of those moves the
-    outer machine has used."""
+    outer machine has used.  It is a ``kernel.ThreadClasses`` position."""
 
     __slots__ = ("machine", "tape", "moves", "used")
 
@@ -175,6 +178,23 @@ class _Play:
                 return
             tape.extend(Labmove(TOP, mv) for mv in block)
             moves.extend(block)
+
+    def absorb(self, lm: Labmove):
+        """An environment labmove joins the tape and the machine answers; an
+        own labmove must be the machine's next unused move."""
+        if lm.player is BOT:
+            self.tape.append(lm)
+            self.drain()
+        elif self.used < len(self.moves) and self.moves[self.used] == lm.move:
+            self.used += 1
+        else:
+            raise RuntimeError("promotion thread out of sync")
+
+    def clone(self) -> "_Play":
+        """The same play so far, continued by a copy of the machine."""
+        new = _Play(self.machine.fresh())
+        new.tape, new.moves, new.used = list(self.tape), list(self.moves), self.used
+        return new
 
 
 class DueMachine(ReplayMachine):

@@ -29,15 +29,14 @@ from .calculus import (
     Weakening,
     weakening_deleted_overgroups,
 )
-from .bits import zeros
 from .kernel import (
     BOT,
     TOP,
     GameExpr,
     Labmove,
     Run,
+    ThreadClasses,
     join_cell,
-    project_thread,
     split_cell,
     split_indexed,
     split_thread,
@@ -716,75 +715,51 @@ def synthesize_formula(p: Proof) -> MachineStrategy:
 
 class ThreadPromotion(ReplayMachine):
     """Wins a branching recurrence of G given a machine winning G, by running
-    one copy of the inner machine per thread class and addressing its answers
-    at the class's defining prefix.
+    one play of the inner machine per thread class and addressing its
+    answers at the class's defining prefix.
 
-    Classes refine as play touches deeper addresses; a newly split class
-    replays the inner machine over its whole projection (which extends the
-    parent class's), while established classes are fed incrementally.
+    The plays are the positions of a ``kernel.ThreadClasses`` over the tape.
+    Classes split on the adversary's addresses only: our own moves must land
+    exactly at class addresses, so within each class every thread keeps
+    seeing the same projection.  Answers go out class by class: a class the
+    adversary played at takes its own place in shortlex order, any other
+    its parent's.
     """
 
     name = "thread-promotion"
 
     def __init__(self, inner: MachineStrategy):
         self.inner = inner
-        self._plays: dict[str, _Play] = {}
         super().__init__()
 
-    def _restart(self):
-        self._plays.clear()
-        super()._restart()
-
-    @staticmethod
-    def _partition(history: Run) -> list[str]:
-        """Coarsest antichain of addresses with constant projections.
-
-        Classes split on the adversary's addresses only: our own answers land
-        exactly at partition addresses, which never refine the partition, so
-        within each class every thread keeps seeing the same projection.
-        """
-        closure = {""}
-        for lm in history:
-            if lm.player is BOT:
-                t = split_thread(lm.move)
-                if t is not None and t[1] is not None:
-                    w = t[0]
-                    for k in range(len(w) + 1):
-                        closure.add(w[:k])
-        out = []
-        for u in sorted(closure, key=lambda w: (len(w), w)):
-            kids = [u + b for b in "01" if u + b in closure]
-            if not kids:
-                out.append(u)  # a deepest adversary address keeps its subtree
-            else:
-                out.extend(u + b for b in "01" if u + b not in closure)
-        return out
-
-    @staticmethod
-    def _feed(play: _Play, projection: Run):
-        """The adversary's moves join the class's tape; our own must be the
-        class machine's next unused move."""
-        for lm in projection:
-            if lm.player is BOT:
-                play.tape.append(lm)
-                play.drain()
-            elif play.used < len(play.moves) and play.moves[play.used] == lm.move:
-                play.used += 1
-            else:
-                raise RuntimeError("promotion thread out of sync")
+    def _start(self):
+        play = _Play(self.inner.fresh())
+        play.drain()
+        self._classes = ThreadClasses.empty(play, 1)
+        self._played: set[str] = set()  # the adversary's thread addresses
 
     def _replay(self, history: Run, seen: int) -> tuple[str, ...]:
-        old, new = history[:seen], history[seen:]
-        out = []
-        for addr in self._partition(history):
-            play = self._plays.get(addr)
-            if play is None:
-                play = self._plays[addr] = _Play(self.inner.fresh())
-                play.drain()
-                self._feed(play, project_thread(old, zeros(addr)))
-            self._feed(play, project_thread(new, zeros(addr)))
-            out.extend(f"{addr}.{mv}" for mv in play.moves[play.used:])
-        return tuple(out)
+        if seen == 0:
+            self._start()
+        for lm in history[seen:]:
+            t = split_thread(lm.move)
+            if t is None or t[1] is None:
+                continue
+            if lm.player is BOT:
+                self._played.add(t[0])
+            elif t[0] not in self._classes.coords[0]:  # we answer at class addresses
+                raise RuntimeError("promotion thread out of sync")
+            self._classes.absorb((t[0],), Labmove(lm.player, t[1]))
+        return tuple(f"{addr}.{mv}" for (addr,), play in self._ordered()
+                     for mv in play.moves[play.used:])
+
+    def _ordered(self) -> list[tuple[tuple[str], _Play]]:
+        """The live classes and their plays, in emission order."""
+        def place(item):
+            (addr,), _ = item
+            at = addr if addr in self._played else addr[:-1]
+            return len(at), at, addr
+        return sorted(self._classes.positions.items(), key=place)
 
     next_moves = ReplayMachine._answer
 

@@ -3,13 +3,14 @@
 They are the direct readings of the definitions: thread classes by their
 eventually-zero representatives, projections per representative, legality
 of one more move by projecting the whole position onto every class below
-its address, replication-tree leaves by comparing every pair of nodes.
-They are slow, and nothing in colog calls them.
+its address, replication-tree leaves by comparing every pair of nodes,
+thread promotion by rescanning the history and replaying a fresh inner
+machine per class.  They are slow, and nothing in colog calls them.
 """
 
 from __future__ import annotations
 
-from colog.bits import ZEROS, InfBits
+from colog.bits import ZEROS, InfBits, zeros
 from colog.kernel import (
     BOT,
     TOP,
@@ -28,6 +29,7 @@ from colog.kernel import (
     split_thread,
     strip_prefix,
 )
+from colog.machines import _Play
 from colog.syntax import (
     And,
     Atom,
@@ -188,3 +190,45 @@ def legal_extension_by_projection(g, itp, pos, lm):
                     c.oformulas[a - 1], itp, project_cell(pos, a, xs), inner)
                 for xs in tuples)
     raise TypeError(f"not a game expression: {g!r}")
+
+
+def promotion_partition(history):
+    """The classes of a thread promotion's history, in emission order: the
+    coarsest antichain of addresses with constant projections, split by the
+    adversary's addresses only.  Each node of the prefix closure of those
+    addresses, in shortlex order, gives itself if it is a deepest one, else
+    its children outside the closure."""
+    closure = {""}
+    for lm in history:
+        if lm.player is BOT:
+            t = split_thread(lm.move)
+            if t is not None and t[1] is not None:
+                w = t[0]
+                for k in range(len(w) + 1):
+                    closure.add(w[:k])
+    out = []
+    for u in sorted(closure, key=lambda w: (len(w), w)):
+        missing = [u + b for b in "01" if u + b not in closure]
+        out.extend([u] if len(missing) == 2 else missing)
+    return out
+
+
+def promotion_by_rescan(inner, history):
+    """A thread promotion's answer to a history: per class of
+    ``promotion_partition``, a fresh copy of ``inner`` replayed over the
+    projection onto the class's address + 000..., its unused moves
+    addressed at the class."""
+    out = []
+    for addr in promotion_partition(history):
+        play = _Play(inner.fresh())
+        play.drain()
+        for lm in project_thread(history, zeros(addr)):
+            if lm.player is BOT:
+                play.tape.append(lm)
+                play.drain()
+            elif play.used < len(play.moves) and play.moves[play.used] == lm.move:
+                play.used += 1
+            else:
+                raise RuntimeError("promotion thread out of sync")
+        out.extend(f"{addr}.{mv}" for mv in play.moves[play.used:])
+    return tuple(out)

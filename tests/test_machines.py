@@ -233,15 +233,23 @@ def _promotion():
     return ThreadPromotion(BridgeOldToNew()), parse_formula("!u (!o P -> !c P)")
 
 
+def _nested_promotion():
+    f = parse_formula("!c !c P")
+    return equivalence_machine(f, "LT"), equivalence_game(f, "LT")
+
+
 # one machine of each replay kind: a plain fold, a translator chain, a
-# router, a router over a thread promotion, and a bare thread promotion over
-# a machine whose fold state shows when a class replays stale moves
+# router, a router over a thread promotion, a bare thread promotion over a
+# machine whose fold state shows when a class replays stale moves, and a
+# promotion inside a promotion, whose splits fork plays that are themselves
+# promotions
 REPLAY_KINDS = {
     "due": lambda: (LiteralCopycat(), parse_formula("P -> P")),
     "translator": _renaming,
     "router": _chain,
     "equivalence": _equivalence,
     "promotion": _promotion,
+    "nested-promotion": _nested_promotion,
 }
 
 

@@ -75,7 +75,7 @@ from colog.syntax import (
     parse_formula,
 )
 
-from oracles import class_reps, thread_class_reps
+from oracles import class_reps, promotion_by_rescan, promotion_partition, thread_class_reps
 
 pf = parse_formula
 ENUM = {"P": enumeration_game(), "Q": enumeration_game()}
@@ -552,6 +552,66 @@ class TestThreadPromotion:
             res = simulate(m, env, SimConfig(horizon=50))
             ok, w = adjudicate(g, ENUM, res.run)
             assert ok and w is TOP, seed
+
+
+    def test_an_own_move_inside_a_class_is_out_of_sync(self):
+        # the one class is "" and owes "1.m" there; the same move deeper in
+        # that class is not one the promotion made, whether its address
+        # extends the class with zeros or not
+        m = ThreadPromotion(LiteralCopycat())
+        h = run((BOT, ".2.m"))
+        assert m.next_moves(h) == (".1.m",)
+        assert m.next_moves(h + run((TOP, ".1.m"))) == ()
+        for deeper in ("00.1.m", "01.1.m"):
+            with pytest.raises(RuntimeError, match="out of sync"):
+                m.next_moves(h + run((TOP, deeper)))
+
+    @pytest.mark.parametrize("formula,direction,horizon", [
+        ("!c !c P", "LT", 120),
+        ("!c !c P", "TL", 60),
+        ("!c (P & !u P)", "LT", 100),
+    ])
+    def test_live_classes_match_the_rescan(self, formula, direction, horizon):
+        # query growing prefixes of a recorded session; after each query
+        # every promotion in the stack, nested ones included, keeps one play
+        # per class of the rescan, in its order, and answers as the rescan
+        f = pf(formula)
+        game = equivalence_game(f, direction)
+        g_run = simulate(equivalence_machine(f, direction),
+                         random_legal_environment(1, game, ENUM), SimConfig(horizon)).run
+        machine = equivalence_machine(f, direction)
+        widest = nested = 0
+        for k in range(len(g_run) + 1):
+            machine.next_moves(g_run[:k])
+            promotions = list(_promotions(machine))
+            for promotion in promotions:
+                history = promotion._prefix
+                order = [addr for (addr,), _ in promotion._ordered()]
+                assert order == promotion_partition(history), (k, history)
+                plays = promotion._classes.positions.values()
+                assert len({id(play) for play in plays}) == len(order)
+                assert promotion.next_moves(history) == \
+                    promotion_by_rescan(promotion.inner, history)
+                widest = max(widest, len(order))
+            nested = max(nested, len(promotions))
+        assert widest >= 3
+        assert nested >= (3 if formula == "!c !c P" else 1)
+
+
+def _promotions(machine):
+    """The thread promotions of a machine stack that have been asked about a
+    history, the ones inside their class plays included."""
+    if isinstance(machine, ThreadPromotion):
+        classes = getattr(machine, "_classes", None)
+        if classes is None:
+            return
+        yield machine
+        plays = list(classes.positions.values())
+    else:
+        plays = getattr(machine, "_plays", None) or [getattr(machine, "_play", None)]
+    for play in plays:
+        if play is not None:
+            yield from _promotions(play.machine)
 
 
 class TestEquivalenceMachines:
