@@ -12,18 +12,24 @@ The replay contract: a machine's answer is a pure function of the history it
 is asked about.  ``ReplayMachine`` is the one base that keeps this contract
 cheap.  It folds the tape one labmove at a time and caches the fold over the
 last history it was asked about.  A history that extends that one costs only
-its new labmoves; any other history restarts the fold from the empty tape,
-with fresh inner machines, so the answer never depends on the order of
-queries.  ``DueMachine`` (a fold of owed responses), ``Translator`` and
+its new labmoves.  The same tape object, no shorter, extends it by
+construction; any other history is compared by content.  One that does not
+extend it restarts the fold from the empty tape, with fresh inner machines,
+so the answer never depends on the order of queries.  The scheduler and
+every imaginary play hand their machine one append-only ``Tape`` that grows
+between queries, so a query costs only the labmoves it has not seen.
+``DueMachine`` (a fold of owed responses), ``Translator`` and
 ``Router`` ("imaginary play": inner machines re-run on tapes derived from
 the real one, their moves translated back) and the thread promotion of
 ``strategies`` are all built on it.  The promotion keeps a play per live
-thread class in a ``kernel.ThreadClasses``; a split forks it by ``fresh``.
+thread class in a ``kernel.ThreadClasses``; a split forks it by
+``_Play.clone``, one deep copy of the machine and its tapes.
 
 The random legal environment keeps the same contract with its own fold: one
 live ``kernel.LegalPosition``, whose replication trees its candidates also
 read.  A grant folds only the labmoves gained since the last history it
-folded; any other history restarts it from the empty position.
+folded, by the same test; any other history restarts it from the empty
+position.
 """
 
 from __future__ import annotations
@@ -51,6 +57,36 @@ class DisciplineError(RuntimeError):
     """An EPM-declared machine emitted a multi-move block."""
 
 
+class Tape(list):
+    """An append-only history: a list of immutable items (labmoves or move
+    strings) that only ever grows.  Reads are a list's; every in-place
+    rewrite raises.  A deep copy is a shallow one that shares the items, and
+    a tape reached twice in one deep copy is copied once."""
+
+    __slots__ = ()
+
+    def _rewrite(self, *args):
+        raise TypeError("a Tape is append-only")
+
+    __setitem__ = __delitem__ = __imul__ = _rewrite
+    insert = pop = remove = clear = sort = reverse = _rewrite
+
+    def __deepcopy__(self, memo):
+        new = memo[id(self)] = Tape(self)
+        return new
+
+
+def extends(history: Sequence, last: Sequence, seen: int) -> bool:
+    """Whether ``history`` extends ``last[:seen]``, the history asked about
+    before: by construction when it is the same (append-only) object and no
+    shorter, else by content."""
+    if len(history) < seen:
+        return False
+    if history is last:
+        return True
+    return tuple(history[:seen]) == tuple(last[:seen])
+
+
 class MachineStrategy:
     """Deterministic transducer for the TOP player."""
 
@@ -64,7 +100,8 @@ class MachineStrategy:
     def fresh(self) -> "MachineStrategy":
         """An independent copy, caches included.  By the replay contract a
         cache only speeds up histories that extend the last one asked about,
-        so a copy of a queried machine answers as the machine would."""
+        so a copy of a queried machine answers as the machine would.  The
+        copy shares the immutable items of the tapes it holds."""
         return copy.deepcopy(self)
 
     def __repr__(self):
@@ -74,20 +111,24 @@ class MachineStrategy:
 class ReplayMachine(MachineStrategy):
     """A machine whose answer is a fold over its run tape, cached per history.
 
-    A query whose history extends the last one folds only the new labmoves;
-    any other history restarts from the empty tape.  The fold's hooks are
-    ``_start`` (play on the empty tape), ``respond(state, lm)`` (absorb one
-    environment labmove and return the real moves it makes owed) and
-    ``_settle`` (run once a query has started the fold or absorbed a
+    A query whose history extends the last one folds only the new labmoves.
+    The same tape object, no shorter, extends it by construction; any other
+    history is compared by content, and one that does not extend the last
+    restarts from the empty tape (counted in ``restarts``).  The fold's
+    hooks are ``_start`` (play on the empty tape), ``respond(state, lm)``
+    (absorb one environment labmove and return the real moves it makes owed)
+    and ``_settle`` (run once a query has started the fold or absorbed a
     labmove).  The owed moves accumulate in order; the machine's own moves
     on the tape must be a prefix of them, and the rest is the answer (its
     first move only under EPM discipline).
     """
 
+    restarts = 0  # folds thrown away for a history that did not extend the last
+
     def __init__(self):
         self._seen = 0  # length of the history folded so far
-        self._prefix: Run = ()  # that history
-        self._out: list[str] = []  # real moves owed, in emission order
+        self._prefix: Run = ()  # that history (a tape may have grown since)
+        self._out = Tape()  # real moves owed, in emission order
         self._emitted = 0  # how many of them are on the tape
         self._fold = self.initial_state()
 
@@ -107,10 +148,11 @@ class ReplayMachine(MachineStrategy):
     def _restart(self):
         """Forget the fold; machines with inner machines also refresh them."""
         ReplayMachine.__init__(self)
+        self.restarts += 1
 
     def _answer(self, history: Run) -> tuple[str, ...]:
         seen = self._seen
-        if seen > len(history) or history[:seen] != self._prefix:
+        if not extends(history, self._prefix, seen):
             self._restart()
             seen = 0
         self._seen = len(history)
@@ -149,22 +191,33 @@ class ReplayMachine(MachineStrategy):
 class _Play:
     """An inner machine played on an imaginary tape: the machine, the tape it
     has seen, its moves there in order, and how many of those moves the
-    outer machine has used.  It is a ``kernel.ThreadClasses`` position."""
+    outer machine has used.  It is a ``kernel.ThreadClasses`` position.
 
-    __slots__ = ("machine", "tape", "moves", "used")
+    The machine is handed the play's one ``Tape``.  ``idle`` is the tape's
+    length at the machine's last grant: a deterministic machine grants again
+    on an unchanged tape, so it is not asked until the tape grows."""
+
+    __slots__ = ("machine", "tape", "moves", "used", "idle")
 
     def __init__(self, machine: MachineStrategy):
         self.machine = machine
-        self.tape: list[Labmove] = []
-        self.moves: list[str] = []
+        self.tape = Tape()
+        self.moves = Tape()
         self.used = 0
+        self.idle = -1
 
     def step(self) -> tuple[str, ...]:
-        """Ask the machine once and put its block on the tape."""
-        block = self.machine.next_moves(tuple(self.tape))
+        """Ask the machine once, unless it is idle, and put its block on the
+        tape."""
+        tape = self.tape
+        if len(tape) == self.idle:
+            return ()
+        block = self.machine.next_moves(tape)
         if block:
-            self.tape.extend(Labmove(TOP, mv) for mv in block)
+            tape.extend(Labmove(TOP, mv) for mv in block)
             self.moves.extend(block)
+        else:
+            self.idle = len(tape)
         return block
 
     def drain(self):
@@ -172,9 +225,10 @@ class _Play:
         # step's body inline: every layer of a stack drains once per absorbed
         # labmove, and a call per query cost about 4 % of simulate time
         machine, tape, moves = self.machine, self.tape, self.moves
-        while True:
-            block = machine.next_moves(tuple(tape))
+        while len(tape) != self.idle:
+            block = machine.next_moves(tape)
             if not block:
+                self.idle = len(tape)
                 return
             tape.extend(Labmove(TOP, mv) for mv in block)
             moves.extend(block)
@@ -191,10 +245,10 @@ class _Play:
             raise RuntimeError("promotion thread out of sync")
 
     def clone(self) -> "_Play":
-        """The same play so far, continued by a copy of the machine."""
-        new = _Play(self.machine.fresh())
-        new.tape, new.moves, new.used = list(self.tape), list(self.moves), self.used
-        return new
+        """The same play so far, continued by a copy of the machine.  One deep
+        copy takes the machine and the tapes together, so the copied machine's
+        last history is the clone's own tape."""
+        return copy.deepcopy(self)
 
 
 class DueMachine(ReplayMachine):
@@ -310,10 +364,11 @@ class SimResult:
 def simulate(machine: MachineStrategy, env: Environment, cfg: SimConfig) -> SimResult:
     """Run the query loop: ask the machine each cycle; on a grant, ask the
     environment.  Machine moves of a cycle precede environment moves of the
-    same (forced-grant) cycle."""
+    same (forced-grant) cycle.  Both are handed the run's one ``Tape``, which
+    keeps growing after they answer."""
     machine = machine.fresh()
     env = env.fresh()
-    history: list[Labmove] = []
+    history = Tape()
     trace: list[TraceEvent] = []
     grants = 0
     since_grant = 0
@@ -324,7 +379,7 @@ def simulate(machine: MachineStrategy, env: Environment, cfg: SimConfig) -> SimR
         since_grant = 0
         trace.append(TraceEvent(cycle, "scheduler" if forced else "machine",
                                 "forced-grant" if forced else "grant"))
-        for mv in env.on_grant(tuple(history), grants):
+        for mv in env.on_grant(history, grants):
             history.append(Labmove(BOT, mv))
             trace.append(TraceEvent(cycle, "env", "move", mv))
 
@@ -334,7 +389,7 @@ def simulate(machine: MachineStrategy, env: Environment, cfg: SimConfig) -> SimR
             # deterministic machine, unchanged tape: it grants again
             do_grant(cycle, forced=False)
             continue
-        block = machine.next_moves(tuple(history))
+        block = machine.next_moves(history)
         if block:
             if machine.discipline == "EPM" and len(block) > 1:
                 raise DisciplineError(
@@ -353,7 +408,7 @@ def simulate(machine: MachineStrategy, env: Environment, cfg: SimConfig) -> SimR
     if cfg.flush:
         cycle = cfg.horizon
         for _ in range(cfg.horizon):
-            block = machine.next_moves(tuple(history))
+            block = machine.next_moves(history)
             if not block:
                 break
             cycle += 1
@@ -435,15 +490,15 @@ def random_legal_environment(
         def __init__(self):
             self._position = None
             self._history: Run = ()  # the history folded into the position
+            self._seen = 0  # its length then (a tape may have grown since)
 
         def _follow(self, history: Run):
-            seen = len(self._history)
-            if (self._position is None or seen > len(history)
-                    or history[:seen] != self._history):
+            seen = self._seen
+            if self._position is None or not extends(history, self._history, seen):
                 self._position = LegalPosition(g, itp)
                 seen = 0
             self._position.absorb(history[seen:])
-            self._history = history
+            self._history, self._seen = history, len(history)
 
         def _tree(self, at: str) -> kernel.BTStructure:
             # the position's own tree where it keeps one; elsewhere (a

@@ -5,10 +5,14 @@ eventually-zero representatives, projections per representative, legality
 of one more move by projecting the whole position onto every class below
 its address, replication-tree leaves by comparing every pair of nodes,
 thread promotion by rescanning the history and replaying a fresh inner
-machine per class.  They are slow, and nothing in colog calls them.
+machine per class, and a simulation whose every layer is handed a tuple copy
+of its history and asked on every pass.  They are slow, and nothing in colog
+calls them.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 from colog.bits import ZEROS, InfBits, zeros
 from colog.kernel import (
@@ -29,7 +33,7 @@ from colog.kernel import (
     split_thread,
     strip_prefix,
 )
-from colog.machines import _Play
+from colog.machines import Environment, MachineStrategy, _Play, simulate
 from colog.syntax import (
     And,
     Atom,
@@ -232,3 +236,45 @@ def promotion_by_rescan(inner, history):
                 raise RuntimeError("promotion thread out of sync")
         out.extend(f"{addr}.{mv}" for mv in play.moves[play.used:])
     return tuple(out)
+
+
+class CopyingMachine(MachineStrategy):
+    """``inner`` handed a tuple copy of every history it is asked about."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.discipline = inner, inner.name, inner.discipline
+
+    def next_moves(self, history):
+        return self.inner.next_moves(tuple(history))
+
+
+class CopyingEnvironment(Environment):
+    """``inner`` handed a tuple copy of every history it is granted on."""
+
+    def __init__(self, inner):
+        self.inner, self.name = inner, inner.name
+
+    def on_grant(self, history, grant_no):
+        return self.inner.on_grant(tuple(history), grant_no)
+
+
+def _step_by_copy(play):
+    block = play.machine.next_moves(tuple(play.tape))
+    if block:
+        play.tape.extend(Labmove(TOP, mv) for mv in block)
+        play.moves.extend(block)
+    return block
+
+
+def _drain_by_copies(play):
+    while _step_by_copy(play):
+        pass
+
+
+def simulate_by_copies(machine, env, cfg):
+    """``simulate`` with no shared tape and no idle play: the machine, the
+    environment and every imaginary play's machine get a tuple copy of
+    their history, and a play's machine is asked on every pass."""
+    with mock.patch.object(_Play, "step", _step_by_copy), \
+            mock.patch.object(_Play, "drain", _drain_by_copies):
+        return simulate(CopyingMachine(machine), CopyingEnvironment(env), cfg)

@@ -1,9 +1,10 @@
-"""The catalog and equivalence groups of the byte-identity digest
+"""The catalog, equivalence and long groups of the byte-identity digest
 (tools/digest.py), pinned.
 
 A change that keeps behaviour prints the same lines.  A change that alters
 these machines' sessions on purpose updates the pin and says why.  The
-equivalence group is the cheap one that runs ``ThreadPromotion``.
+equivalence group is the cheap one that runs ``ThreadPromotion``; the long
+group runs the CLI and the equivalence machines over long histories.
 """
 
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CATALOG = "catalog 180 5e92fad49f61492255bbdeb6dbaed7462a76af83d186a8ff7c90ecb0abf46302"
+LONG = "long 27 21068ae1c75efdbf48d99c96bfd84185c8ff3591111d8bcd130cde6ae092b004"
 EQUIVALENCE = "equivalence 360 13d10880152f090c5d193afc9e0f9544ea43723a6a491d5c8eda85023d69ca6d"
 
 
@@ -31,3 +33,7 @@ def test_catalog_digest_is_pinned():
 
 def test_equivalence_digest_is_pinned():
     assert digest("equivalence") == EQUIVALENCE
+
+
+def test_long_digest_is_pinned():
+    assert digest("long") == LONG

@@ -1,12 +1,16 @@
+import copy
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colog.kernel import (
     BOT,
     TOP,
     CirquentGame,
     Labmove,
+    ThreadClasses,
     adjudicate,
     bt_structure,
     enumeration_game,
@@ -18,10 +22,13 @@ from colog.machines import (
     DisciplineError,
     DueMachine,
     MachineStrategy,
+    ReplayMachine,
     SilentEnvironment,
     SilentMachine,
     SimConfig,
+    Tape,
     _move_candidates,
+    _Play,
     compose_chain,
     compose_modus_ponens,
     random_legal_environment,
@@ -42,6 +49,7 @@ from colog.strategies import (
 )
 from colog.syntax import parse_formula
 
+from oracles import simulate_by_copies
 from test_calculus import load_corpus
 from test_kernel import POSITIONAL
 
@@ -307,6 +315,183 @@ class TestReplayability:
         clone = m.fresh()
         assert clone.next_moves(()) == ()
         assert m.next_moves(run((BOT, "1.m"))) == ("2.m",)
+
+
+def _stack(machine):
+    """Every ``ReplayMachine`` of a machine stack, inner plays included."""
+    found, todo = [], [machine]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, ReplayMachine):
+            found.append(x)
+        if isinstance(x, MachineStrategy):
+            todo += vars(x).values()
+        elif isinstance(x, _Play):
+            todo.append(x.machine)
+        elif isinstance(x, ThreadClasses):
+            todo += x.positions.values()
+        elif type(x) is list:
+            todo += x
+    return found
+
+
+def _bot_moves(kind, seed=0):
+    machine, game = REPLAY_KINDS[kind]()
+    g_run = simulate(machine, random_legal_environment(seed, game, ENUM),
+                     SimConfig(horizon=40)).run
+    return [lm for lm in g_run if lm.player is BOT]
+
+
+class Counting(DueMachine):
+    """A silent machine that counts the queries it is asked."""
+
+    name = "counting"
+    calls = 0
+
+    def next_moves(self, history):
+        self.calls += 1
+        return self._answer(history)
+
+    def respond(self, state, lm):
+        return []
+
+
+class TestTape:
+    REWRITES = {
+        "setitem": lambda t: t.__setitem__(0, "x"),
+        "setslice": lambda t: t.__setitem__(slice(0, 1), ["x"]),
+        "delitem": lambda t: t.__delitem__(0),
+        "insert": lambda t: t.insert(0, "x"),
+        "pop": lambda t: t.pop(),
+        "remove": lambda t: t.remove("a"),
+        "clear": lambda t: t.clear(),
+        "sort": lambda t: t.sort(),
+        "reverse": lambda t: t.reverse(),
+        "imul": lambda t: t.__imul__(2),
+    }
+
+    @pytest.mark.parametrize("rewrite", sorted(REWRITES))
+    def test_rejects_every_in_place_rewrite(self, rewrite):
+        tape = Tape(["b", "a"])
+        with pytest.raises(TypeError, match="append-only"):
+            self.REWRITES[rewrite](tape)
+        assert tape == ["b", "a"]
+
+    def test_grows_and_reads_like_a_list(self):
+        tape = Tape()
+        tape.append("a")
+        tape.extend(["b", "c"])
+        tape += ["d"]
+        assert tape == ["a", "b", "c", "d"] and type(tape) is Tape
+        assert tape[1:3] == ["b", "c"] and tuple(tape) == ("a", "b", "c", "d")
+
+    def test_deep_copy_shares_items_and_aliases(self):
+        tape = Tape([Labmove(BOT, "1.m")])
+        a, b = copy.deepcopy((tape, tape))
+        assert a is b and a is not tape and type(a) is Tape
+        assert a == tape and a[0] is tape[0]
+        # the copy is registered in the memo it is handed
+        memo = {}
+        c = tape.__deepcopy__(memo)
+        assert copy.deepcopy(tape, memo) is c
+
+
+class TestSharedTape:
+    @pytest.mark.parametrize("kind", sorted(REPLAY_KINDS))
+    def test_a_growing_tape_answers_as_a_fresh_machine(self, kind):
+        make = REPLAY_KINDS[kind]
+        machine, game = make()
+        runs = [simulate(machine, random_legal_environment(seed, game, ENUM),
+                         SimConfig(horizon=40)).run for seed in range(2)]
+        probe, tape = make()[0], Tape()
+        for lm in runs[0]:
+            tape.append(lm)
+            assert probe.next_moves(tape) == make()[0].next_moves(tuple(tape)), (kind, len(tape))
+        # an equal tuple extends the tape by content
+        assert probe.next_moves(runs[0]) == make()[0].next_moves(runs[0])
+        assert probe.restarts == 0
+        # a shorter history and a diverging one restart
+        cut = runs[0][: len(runs[0]) // 2]
+        assert probe.next_moves(cut) == make()[0].next_moves(cut)
+        assert probe.restarts == 1
+        assert probe.next_moves(runs[1]) == make()[0].next_moves(runs[1])
+        assert probe.restarts == 2
+        # the same object, shortened in place, does not extend what it was
+        history = list(runs[0])
+        probe.next_moves(history)
+        restarts = probe.restarts
+        del history[len(history) // 2:]
+        assert probe.next_moves(history) == make()[0].next_moves(tuple(history))
+        assert probe.restarts == restarts + 1
+
+    @pytest.mark.parametrize("kind", sorted(REPLAY_KINDS))
+    def test_no_restarts_under_the_scheduler(self, kind, monkeypatch):
+        machine, game = REPLAY_KINDS[kind]()
+        monkeypatch.setattr(machine, "fresh", lambda: machine)  # keep the played copy
+        res = simulate(machine, random_legal_environment(1, game, ENUM), SimConfig(horizon=60))
+        stack = _stack(machine)
+        assert len(res.run) > 10 and stack[0] is machine
+        assert not any(m.restarts for m in stack)
+        if kind == "nested-promotion":
+            assert sum(isinstance(m, ThreadPromotion) for m in stack) > 2
+
+    @pytest.mark.parametrize("kind", sorted(REPLAY_KINDS))
+    def test_a_cloned_play_keeps_its_machine_on_its_own_tape(self, kind):
+        def played(bots):
+            play = _Play(REPLAY_KINDS[kind]()[0])
+            play.drain()
+            for lm in bots:
+                play.absorb(lm)
+            return play
+
+        bots = _bot_moves(kind)
+        assert len(bots) > 8
+        play = played(())
+        for i, lm in enumerate(bots):
+            play.absorb(lm)
+            if i % 4:
+                continue
+            twin = play.clone()
+            assert twin.machine._prefix is twin.tape is not play.tape
+            assert twin.tape == play.tape
+            assert all(x is y for x, y in zip(twin.tape, play.tape))
+            for later in bots[i + 1:i + 4]:
+                twin.absorb(later)
+            assert twin.moves == played(bots[:i + 4]).moves, (kind, i)
+            assert not any(m.restarts for m in _stack(twin.machine))
+        assert not any(m.restarts for m in _stack(play.machine))
+
+    def test_an_idle_play_is_not_asked_again(self):
+        router = compose_chain(Counting(), Counting())
+        first, second = (p.machine for p in router._plays)
+        tape = Tape()
+        router.next_moves(tape)
+        router.next_moves(tape)
+        assert (first.calls, second.calls) == (1, 1)
+        tape.append(Labmove(BOT, "1.m"))  # reaches the first inner tape only
+        assert router.next_moves(tape) == ()
+        assert (first.calls, second.calls) == (2, 1)
+        play = router._plays[1]
+        play.step()
+        play.drain()
+        assert second.calls == 1
+        twin = play.clone()
+        twin.step()
+        twin.drain()
+        assert twin.machine.calls == 1 and twin.idle == play.idle == 0
+
+
+class TestReplayProperty:
+    @pytest.mark.parametrize("kind", sorted(REPLAY_KINDS))
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(seed=st.integers(0, 10 ** 6), horizon=st.integers(1, 60))
+    def test_simulate_replays_bit_for_bit(self, kind, seed, horizon):
+        machine, game = REPLAY_KINDS[kind]()
+        env = random_legal_environment(seed, game, ENUM)
+        cfg = SimConfig(horizon=horizon)
+        first = simulate(machine, env, cfg)
+        assert simulate(machine, env, cfg) == first
+        assert simulate_by_copies(machine, env, cfg) == first
 
 
 def _catalog(name, itp=ENUM):
