@@ -2,14 +2,15 @@
 
 A run is a finite sequence of labeled moves.  A game expression is a formula
 tree (optionally rooted at a cirquent) evaluated against an interpretation
-that maps atoms to concrete finite games.  Legality is checked move by move;
-the winner of a finite run is computed by treating the run as completed.
+that maps atoms to concrete finite games.  Legality is checked move by move,
+by one live position (``LegalPosition``); the winner of a finite run is
+computed by treating the run as completed.
 
 The "for all infinite bitstrings" quantifiers in the recurrence and cirquent
-winner clauses are decided over a finite set of thread-class representatives:
-two infinite addresses that select the same used move prefixes have identical
-projections, so one eventually-zero representative per class suffices on a
-finite run.
+winner clauses are decided over thread classes: two infinite addresses that
+select the same used move prefixes have identical projections, so one
+projection per class suffices on a finite run.  The classes are one live
+fold, ``ThreadClasses``, shared by legality, thread promotion and the winner.
 """
 
 from __future__ import annotations
@@ -183,91 +184,126 @@ def project_cell(g: Iterable[Labmove], a: int, xs) -> Run:
 # thread classes
 #
 # For a finite set U of used finite addresses, the projection of a run onto an
-# infinite x depends only on which members of U are prefixes of x.  Walking
-# the prefix closure of U along x ends at some u with the next step u+b
-# outside the closure; u+b+000... is the canonical representative of x's
-# class, and the class is exactly {x : u+b prefix of x}.
+# infinite x depends only on which members of U are prefixes of x.  So the
+# "for all infinite x" quantifiers are decided over classes of addresses that
+# project alike.  ``ThreadClasses`` keeps them live as a fold over the run,
+# with one position per class, and has three consumers: legality keeps a body
+# position per class (``LegalPosition``), thread promotion a play of its
+# inner machine (``strategies.ThreadPromotion``), and the winner the
+# projected run itself (``thread_projections``, ``cells_projections``).
 
 
-def class_addresses(used: Iterable[str], below: str = "") -> tuple[str, ...]:
-    """Defining prefixes of the projection classes of addresses extending
-    ``below``: an antichain of finite addresses, one per class, such that the
-    class of an infinite x is exactly {x : address is a prefix of x}."""
-    closure = {below}
-    for u in used:
-        if u.startswith(below):
-            for k in range(len(below), len(u) + 1):
-                closure.add(u[:k])
-    if closure == {below}:
-        return (below,)
-    out = []
-    for u in sorted(closure, key=lambda w: (len(w), w)):
-        for b in "01":
-            if u + b not in closure:
-                out.append(u + b)
-    return tuple(out)
+class ThreadClasses:
+    """The thread classes of a recurrence's run (one coordinate), or the
+    joint coordinate classes of a cirquent's cell moves (n coordinates),
+    with one live position per joint class.  Legality keeps a body position
+    per class, ``strategies.ThreadPromotion`` a play of its inner machine,
+    and the winner's projections a ``_Recording`` of the class's moves.
+
+    Each coordinate keeps an antichain of class addresses covering every
+    infinite address, starting from the empty one; the joint classes are
+    the tuples of one class per coordinate.  A move at u that properly
+    extends a class a splits a into the path siblings from a to u and u
+    itself: a's position goes to u and each sibling gets a clone.  The move
+    then lands in every class it meets: the class that holds u, or every
+    class under u.  A class splits only where its threads' projections
+    differ, so one position answers for all of its threads.
+    """
+
+    __slots__ = ("coords", "positions")
+
+    def __init__(self, coords, positions):
+        self.coords, self.positions = coords, positions
+
+    @classmethod
+    def empty(cls, body, n):
+        """One class per coordinate, the empty address, holding ``body``."""
+        return cls([{""} for _ in range(n)], {("",) * n: body})
+
+    def absorb(self, coords, lm):
+        for key in self._met(coords, split=True):
+            self.positions[key].absorb(lm)
+
+    def allows(self, coords, lm):
+        return all(self.positions[key].allows(lm) for key in self._met(coords))
+
+    def clone(self):
+        return ThreadClasses([set(antichain) for antichain in self.coords],
+                             {key: pos.clone() for key, pos in self.positions.items()})
+
+    def _met(self, coords, split=False):
+        """The joint classes whose threads pass through ``coords``; with
+        ``split``, a class that holds a coordinate properly is split there
+        first."""
+        picks = []
+        for j, u in enumerate(coords):
+            antichain = self.coords[j]
+            holder = next((u[:k] for k in range(len(u) + 1) if u[:k] in antichain), None)
+            if holder is None:
+                under, stack = [], [u]
+                while stack:  # the classes are the leaves of a full binary tree
+                    v = stack.pop()
+                    if v in antichain:
+                        under.append(v)
+                    else:
+                        stack += (v + "0", v + "1")
+                picks.append(under)
+            else:
+                if split and holder != u:
+                    self._split(j, holder, u)
+                    holder = u
+                picks.append((holder,))
+        return itertools.product(*picks)
+
+    def _split(self, j, a, u):
+        new = [u[:k] + "10"[int(u[k])] for k in range(len(a), len(u))] + [u]
+        antichain = self.coords[j]
+        antichain.remove(a)
+        antichain.update(new)
+        rows = [(a,) if i == j else tuple(others) for i, others in enumerate(self.coords)]
+        for key in itertools.product(*rows):
+            pos = self.positions.pop(key)
+            for b in new[:-1]:
+                self.positions[key[:j] + (b,) + key[j + 1:]] = pos.clone()
+            self.positions[key[:j] + (u,) + key[j + 1:]] = pos
+
+
+class _Recording(list):
+    """A class position that records the labmoves landing in its class."""
+
+    absorb = list.append
+
+    def clone(self):
+        return _Recording(self)
 
 
 def thread_projections(g: Iterable[Labmove]) -> list[Run]:
-    """One projection per thread class of the run, parsing each move once.
-
-    Covers exactly the projections {g^x : x infinite}, like projecting onto
-    the representative address + 000... of every class of class_addresses.
-    """
-    parsed = []
-    used = []
+    """One projection per thread class of the run: together exactly the
+    projections {g^x : x infinite}.  The ``ThreadClasses`` fold over the
+    run, recording each class's moves."""
+    classes = ThreadClasses.empty(_Recording(), 1)
     for lm in g:
         t = split_thread(lm.move)
-        if t is None or t[1] is None:
-            continue
-        parsed.append((t[0], Labmove(lm.player, t[1])))
-        used.append(t[0])
-    # every used address lies in the prefix closure that class_addresses
-    # builds, so none extends a class address: the class of addr selects a
-    # move exactly when the move's address is a prefix of addr
-    return [
-        tuple(stripped for w, stripped in parsed if addr.startswith(w))
-        for addr in class_addresses(used)
-    ]
+        if t is not None and t[1] is not None:
+            classes.absorb((t[0],), Labmove(lm.player, t[1]))
+    return [tuple(rec) for rec in classes.positions.values()]
 
 
 def cells_projections(
     g: Iterable[Labmove], cells: Iterable[int], n_coords: int
 ) -> dict[int, list[Run]]:
     """One projection of each listed cell per joint coordinate class of the
-    run, parsing the run and building the coordinate classes once.  Index i
-    of every cell's list refers to the same joint coordinate class."""
-    per_coord: list[set[str]] = [set() for _ in range(n_coords)]
-    parsed: dict[int, list] = {a: [] for a in cells}
+    run.  One ``ThreadClasses`` fold over the moves of every cell records
+    (cell, labmove), so index i of every cell's list refers to the same
+    joint coordinate class."""
+    classes = ThreadClasses.empty(_Recording(), n_coords)
     for lm in g:
         p = split_cell(lm.move, n_coords)
-        if p is None:
-            continue
-        b, coords, rest = p
-        for j, u in enumerate(coords):
-            per_coord[j].add(u)
-        if b in parsed:
-            parsed[b].append((coords, Labmove(lm.player, rest)))
-    # a class selects a move by its coordinate tuple alone, and distinct
-    # tuples are far fewer than moves; classes selecting the same tuples
-    # share their projections
-    used = {coords for moves in parsed.values() for coords, _ in moves}
-    shared: dict[frozenset, list[Run]] = {}
-    out: dict[int, list[Run]] = {a: [] for a in parsed}
-    for xs in itertools.product(*(class_addresses(us) for us in per_coord)):
-        picked = frozenset(
-            coords for coords in used
-            if all(addr.startswith(u) for u, addr in zip(coords, xs))
-        )
-        projs = shared.get(picked)
-        if projs is None:
-            projs = shared[picked] = [
-                tuple(lm for coords, lm in moves if coords in picked)
-                for moves in parsed.values()
-            ]
-        for subs, proj in zip(out.values(), projs):
-            subs.append(proj)
-    return out
+        if p is not None:
+            a, coords, rest = p
+            classes.absorb(coords, (a, Labmove(lm.player, rest)))
+    recs = list(classes.positions.values())
+    return {a: [tuple(lm for b, lm in rec if b == a) for rec in recs] for a in cells}
 
 
 # ---------------------------------------------------------------------------
@@ -459,50 +495,19 @@ def position_free(g: GameExpr, itp: Interpretation) -> bool:
     return not _position(g, itp).stateful
 
 
-def _legal_single(g: GameExpr, itp: Interpretation, lm: Labmove) -> bool:
-    """Single-move legality for position-free games (position irrelevant)."""
-    match g:
-        case Atom(name):
-            return _atom_game(itp, name).legal((), lm)
-        case NegAtom(name):
-            return _atom_game(itp, name).legal((), Labmove(lm.player.flip(), lm.move))
-        case And(l, r) | Or(l, r):
-            parsed = split_indexed(lm.move)
-            if parsed is None:
-                return False
-            i, rest = parsed
-            return _legal_single(l if i == 1 else r, itp, Labmove(lm.player, rest))
-        case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
-            parsed = split_thread(lm.move)
-            if parsed is None or parsed[1] is None:
-                return False
-            return _legal_single(body, itp, Labmove(lm.player, parsed[1]))
-        case CirquentGame(c):
-            parsed = split_cell(lm.move, len(c.overgroups))
-            if parsed is None:
-                return False
-            a, coords, rest = parsed
-            if not 1 <= a <= len(c.oformulas):
-                return False
-            for j, u in enumerate(coords, start=1):
-                if a not in c.overgroups[j - 1] and u != "":
-                    return False
-            return _legal_single(c.oformulas[a - 1], itp, Labmove(lm.player, rest))
-    raise TypeError(f"not a game expression: {g!r}")
-
-
 class LegalPosition:
     """A live legality position of one game: a fold over a run that answers
     whether a labmove may extend it.
 
     ``absorb`` folds labmoves onto the position, legal or not; ``allows``
-    asks about one more.  A position-free subgame keeps no state and is
-    asked about the labmove alone.  ``&``/``|`` keep one sub-position per
-    component, and a tree-form recurrence keeps its replication tree.  A
-    recurrence or cirquent over a positional body keeps one body position
-    per thread or joint coordinate class (``ThreadClasses``), and allows a
-    labmove iff every class its address meets does.  ``legal_extension``
-    and ``first_illegal`` are this fold.
+    asks about one more.  Every subgame has one node, and the nodes are the
+    one legality matcher: ``&``/``|`` keep one sub-position per component,
+    and a tree-form recurrence keeps its replication tree.  A recurrence or
+    cirquent over a stateful body keeps one body position per thread or
+    joint coordinate class (``ThreadClasses``), and allows a labmove iff
+    every class its address meets does.  A position-free subgame keeps no
+    state, and its node (``_Free``) answers each distinct labmove once.
+    ``legal_extension`` and ``first_illegal`` are this fold.
     """
 
     def __init__(self, g: GameExpr, itp: Interpretation):
@@ -543,53 +548,48 @@ def legal_extension(g: GameExpr, itp: Interpretation, pos: Run, lm: Labmove) -> 
 
 
 def _position(g: GameExpr, itp: Interpretation):
-    """The empty position of g.  Position-freedom is decided here, once per
-    node, from the children's positions."""
+    """The empty position of g.  Every subgame gets the node of its
+    connective, and each node decides from its children whether it is
+    stateful; a position-free one is wrapped in ``_Free``."""
     match g:
         case Atom(name) | NegAtom(name):
-            game = _atom_game(itp, name)
-            if game.position_free:
-                return _Free(g, itp)
-            return _AtomPosition(game, isinstance(g, NegAtom), [])
+            node = _AtomPosition(_atom_game(itp, name), isinstance(g, NegAtom), [])
         case And(l, r) | Or(l, r):
-            subs = (_position(l, itp), _position(r, itp))
-            if not (subs[0].stateful or subs[1].stateful):
-                return _Free(g, itp)
-            return _ParPosition(subs)
+            node = _ParPosition((_position(l, itp), _position(r, itp)))
         case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
-            sub = _position(body, itp)
-            if not sub.stateful:
-                return _Free(g, itp)
-            return _RecPosition(None, None, ThreadClasses.empty(sub, 1))
+            node = _RecPosition(None, None, _per_class(_position(body, itp), 1))
         case OldCRec(body) | OldCCoRec(body):
-            replicator = BOT if isinstance(g, OldCRec) else TOP
-            sub = _position(body, itp)
-            return _RecPosition(replicator, BTStructure(),
-                                ThreadClasses.empty(sub, 1) if sub.stateful else sub)
+            node = _RecPosition(BOT if isinstance(g, OldCRec) else TOP, BTStructure(),
+                                _per_class(_position(body, itp), 1))
         case CirquentGame(c):
-            subs = [_position(f, itp) for f in c.oformulas]
-            if not any(sub.stateful for sub in subs):
-                return _Free(g, itp)
             n = len(c.overgroups)
-            return _CirquentPosition(c, [ThreadClasses.empty(sub, n) if sub.stateful
-                                         else sub for sub in subs])
-    raise TypeError(f"not a game expression: {g!r}")
+            node = _CirquentPosition(c, [_per_class(_position(f, itp), n)
+                                         for f in c.oformulas])
+        case _:
+            raise TypeError(f"not a game expression: {g!r}")
+    return node if node.stateful else _Free(node)
+
+
+def _per_class(sub, n):
+    """A stateful body's position per class; a free body needs only one."""
+    return ThreadClasses.empty(sub, n) if sub.stateful else sub
 
 
 class _Free:
-    """A position-free subgame: no state.  ``_legal_single`` answers each
-    distinct labmove once, since the answer depends on the labmove alone."""
+    """A position-free node: its answers depend on the labmove alone, so
+    ``node.allows`` is asked once per distinct labmove.  It keeps no state,
+    and its clones are itself."""
 
-    __slots__ = ("g", "itp", "seen")
+    __slots__ = ("node", "seen")
     stateful = False
 
-    def __init__(self, g, itp):
-        self.g, self.itp, self.seen = g, itp, {}
+    def __init__(self, node):
+        self.node, self.seen = node, {}
 
     def allows(self, lm):
         ok = self.seen.get(lm)
         if ok is None:
-            ok = self.seen[lm] = _legal_single(self.g, self.itp, lm)
+            ok = self.seen[lm] = self.node.allows(lm)
         return ok
 
     def clone(self):
@@ -597,13 +597,14 @@ class _Free:
 
 
 class _AtomPosition:
-    """A positional atom, or its negation: the run as the atom's game sees it."""
+    """An atom, or its negation: the run as the atom's game sees it.  It is
+    stateful unless the game declares itself position-free."""
 
-    __slots__ = ("game", "negated", "run")
-    stateful = True
+    __slots__ = ("game", "negated", "run", "stateful")
 
     def __init__(self, game, negated, run_):
         self.game, self.negated, self.run = game, negated, run_
+        self.stateful = not game.position_free
 
     def absorb(self, lm):
         self.run.append(Labmove(lm.player.flip(), lm.move) if self.negated else lm)
@@ -618,13 +619,13 @@ class _AtomPosition:
 
 
 class _ParPosition:
-    """``&``/``|``: one sub-position per component."""
+    """``&``/``|``: one sub-position per component, stateful if either is."""
 
-    __slots__ = ("subs",)
-    stateful = True
+    __slots__ = ("subs", "stateful")
 
     def __init__(self, subs):
         self.subs = subs
+        self.stateful = subs[0].stateful or subs[1].stateful
 
     def absorb(self, lm):
         parsed = split_indexed(lm.move)
@@ -643,92 +644,17 @@ class _ParPosition:
         return _ParPosition(tuple(sub.clone() for sub in self.subs))
 
 
-class ThreadClasses:
-    """The thread classes of a recurrence's run (one coordinate), or the
-    joint coordinate classes of one cirquent cell's run (n coordinates),
-    with one live position per joint class.  Legality keeps a body position
-    per class; ``strategies.ThreadPromotion`` keeps a play of its inner
-    machine per class.
-
-    Each coordinate keeps an antichain of class addresses covering every
-    infinite address, starting from the empty one; the joint classes are
-    the tuples of one class per coordinate.  A move at u that properly
-    extends a class a splits a into the path siblings from a to u and u
-    itself: a's position goes to u and each sibling gets a clone.  The move
-    then lands in every class it meets: the class that holds u, or every
-    class under u.  A class splits only where its threads' projections
-    differ, so one position answers for all of its threads.
-    """
-
-    __slots__ = ("coords", "positions")
-
-    def __init__(self, coords, positions):
-        self.coords, self.positions = coords, positions
-
-    @classmethod
-    def empty(cls, body, n):
-        """One class per coordinate, the empty address, holding ``body``."""
-        return cls([{""} for _ in range(n)], {("",) * n: body})
-
-    def absorb(self, coords, lm):
-        for key in self._met(coords, split=True):
-            self.positions[key].absorb(lm)
-
-    def allows(self, coords, lm):
-        return all(self.positions[key].allows(lm) for key in self._met(coords))
-
-    def clone(self):
-        return ThreadClasses([set(antichain) for antichain in self.coords],
-                             {key: pos.clone() for key, pos in self.positions.items()})
-
-    def _met(self, coords, split=False):
-        """The joint classes whose threads pass through ``coords``; with
-        ``split``, a class that holds a coordinate properly is split there
-        first."""
-        picks = []
-        for j, u in enumerate(coords):
-            antichain = self.coords[j]
-            holder = next((u[:k] for k in range(len(u) + 1) if u[:k] in antichain), None)
-            if holder is None:
-                under, stack = [], [u]
-                while stack:  # the classes are the leaves of a full binary tree
-                    v = stack.pop()
-                    if v in antichain:
-                        under.append(v)
-                    else:
-                        stack += (v + "0", v + "1")
-                picks.append(under)
-            else:
-                if split and holder != u:
-                    self._split(j, holder, u)
-                    holder = u
-                picks.append((holder,))
-        return itertools.product(*picks)
-
-    def _split(self, j, a, u):
-        new = [u[:k] + "10"[int(u[k])] for k in range(len(a), len(u))] + [u]
-        antichain = self.coords[j]
-        antichain.remove(a)
-        antichain.update(new)
-        rows = [(a,) if i == j else tuple(others) for i, others in enumerate(self.coords)]
-        for key in itertools.product(*rows):
-            pos = self.positions.pop(key)
-            for b in new[:-1]:
-                self.positions[key[:j] + (b,) + key[j + 1:]] = pos.clone()
-            self.positions[key[:j] + (u,) + key[j + 1:]] = pos
-
-
 class _RecPosition:
-    """A recurrence over a positional body, or a tree-form recurrence.  The
-    tree-form ones keep their replication tree and allow a replication by
-    ``replicator`` only, at a leaf.  ``body`` is the ``ThreadClasses`` of a
-    positional body; a position-free body is asked about the labmove alone."""
+    """A recurrence.  The tree-form ones keep their replication tree and
+    allow a replication by ``replicator`` only, at a leaf.  ``body`` is the
+    ``ThreadClasses`` of a stateful body, or a free body's one position.  It
+    is stateful if it has a tree or its body is."""
 
-    __slots__ = ("replicator", "tree", "body")
-    stateful = True
+    __slots__ = ("replicator", "tree", "body", "stateful")
 
     def __init__(self, replicator, tree, body):
         self.replicator, self.tree, self.body = replicator, tree, body
+        self.stateful = tree is not None or isinstance(body, ThreadClasses)
 
     def absorb(self, lm):
         parsed = split_thread(lm.move)
@@ -762,15 +688,15 @@ class _RecPosition:
 
 
 class _CirquentPosition:
-    """A cirquent with a positional oformula: per cell, the ``ThreadClasses``
-    of its moves for a positional oformula; a position-free one is asked
-    about the labmove alone."""
+    """A cirquent: per cell, the ``ThreadClasses`` of its moves for a
+    stateful oformula, or a free oformula's one position.  It is stateful if
+    any cell keeps classes."""
 
-    __slots__ = ("c", "cells")
-    stateful = True
+    __slots__ = ("c", "cells", "stateful")
 
     def __init__(self, c: Cirquent, cells):
         self.c, self.cells = c, cells
+        self.stateful = any(isinstance(cell, ThreadClasses) for cell in cells)
 
     def absorb(self, lm):
         parsed = split_cell(lm.move, len(self.c.overgroups))
@@ -829,7 +755,7 @@ def winner(g: GameExpr, itp: Interpretation, run_: Run) -> Player:
 
     A run whose first offending move is labeled p is lost by p regardless of
     anything else; on legal runs the connectives are evaluated recursively,
-    with thread quantifiers ranging over class representatives.
+    with thread quantifiers ranging over thread classes.
     """
     return adjudicate(g, itp, run_)[1]
 

@@ -14,8 +14,9 @@ cheap.  It folds the tape one labmove at a time and caches the fold over the
 last history it was asked about.  A history that extends that one costs only
 its new labmoves.  The same tape object, no shorter, extends it by
 construction; any other history is compared by content.  One that does not
-extend it restarts the fold from the empty tape, with fresh inner machines,
-so the answer never depends on the order of queries.  The scheduler and
+extend it restarts the fold from the empty tape, and hands each inner machine
+a new empty tape, on which it restarts in turn, so the answer never depends
+on the order of queries.  The scheduler and
 every imaginary play hand their machine one append-only ``Tape`` that grows
 between queries, so a query costs only the labmoves it has not seen.
 ``DueMachine`` (a fold of owed responses), ``Translator`` and
@@ -146,7 +147,9 @@ class ReplayMachine(MachineStrategy):
         """Finish a query that started the fold or absorbed a labmove."""
 
     def _restart(self):
-        """Forget the fold; machines with inner machines also refresh them."""
+        """Forget the fold.  Machines with inner machines give each a new
+        play on an empty tape, so an inner machine that had folded labmoves
+        restarts itself on its next query."""
         ReplayMachine.__init__(self)
         self.restarts += 1
 
@@ -556,7 +559,7 @@ class Translator(ReplayMachine):
     # -- replay ------------------------------------------------------------
 
     def _restart(self):
-        self._play = _Play(self._play.machine.fresh())
+        self._play = _Play(self._play.machine)
         super()._restart()
 
     def _start(self):
@@ -616,7 +619,7 @@ class Router(ReplayMachine):
         super().__init__()
 
     def _restart(self):
-        self._plays = [_Play(p.machine.fresh()) for p in self._plays]
+        self._plays = [_Play(p.machine) for p in self._plays]
         super()._restart()
 
     def _route(self, i: int, move: str):

@@ -1,13 +1,14 @@
 """Reference definitions the tests compare the kernel against.
 
-They are the direct readings of the definitions: thread classes by their
-eventually-zero representatives, projections per representative, legality
-of one more move by projecting the whole position onto every class below
-its address, replication-tree leaves by comparing every pair of nodes,
-thread promotion by rescanning the history and replaying a fresh inner
-machine per class, and a simulation whose every layer is handed a tuple copy
-of its history and asked on every pass.  They are slow, and nothing in colog
-calls them.
+They are the direct readings of the definitions: thread classes by the
+prefix closure of the used addresses and their eventually-zero
+representatives, projections per representative, single-move legality of a
+position-free game by matching the formula, legality of one more move by
+projecting the whole position onto every class below its address,
+replication-tree leaves by comparing every pair of nodes, thread promotion
+by rescanning the history and replaying a fresh inner machine per class, and
+a simulation whose every layer is handed a tuple copy of its history and
+asked on every pass.  They are slow, and nothing in colog calls them.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from colog.kernel import (
     CirquentGame,
     Labmove,
     _atom_game,
-    _legal_single,
     bt_structure,
-    cells_projections,
-    class_addresses,
     negate_run,
     project_cell,
     project_thread,
@@ -46,6 +44,32 @@ from colog.syntax import (
     UCoRec,
     URec,
 )
+
+
+# For a finite set U of used finite addresses, the projection of a run onto an
+# infinite x depends only on which members of U are prefixes of x.  Walking
+# the prefix closure of U along x ends at some u with the next step u+b
+# outside the closure; u+b+000... is the canonical representative of x's
+# class, and the class is exactly {x : u+b prefix of x}.
+
+
+def class_addresses(used, below=""):
+    """Defining prefixes of the projection classes of addresses extending
+    ``below``: an antichain of finite addresses, one per class, such that the
+    class of an infinite x is exactly {x : address is a prefix of x}."""
+    closure = {below}
+    for u in used:
+        if u.startswith(below):
+            for k in range(len(below), len(u) + 1):
+                closure.add(u[:k])
+    if closure == {below}:
+        return (below,)
+    out = []
+    for u in sorted(closure, key=lambda w: (len(w), w)):
+        for b in "01":
+            if u + b not in closure:
+                out.append(u + b)
+    return tuple(out)
 
 
 def class_reps(used, below=""):
@@ -88,8 +112,9 @@ def thread_class_reps(g, n_coords=None):
 
 
 def cell_projections(g, a, n_coords):
-    """One projection of cell ``a`` per joint coordinate class of the run."""
-    return cells_projections(g, (a,), n_coords)[a]
+    """The projections of cell ``a`` onto every joint representative of
+    ``thread_class_reps``, in its order."""
+    return [project_cell(g, a, xs) for xs in thread_class_reps(g, n_coords)]
 
 
 def leaves_all_pairs(tree):
@@ -124,12 +149,45 @@ def position_free_by_structure(g, itp):
     raise TypeError(f"not a game expression: {g!r}")
 
 
+def legal_single(g, itp, lm):
+    """Single-move legality of a position-free game, matched against the
+    formula (the position is irrelevant)."""
+    match g:
+        case Atom(name):
+            return _atom_game(itp, name).legal((), lm)
+        case NegAtom(name):
+            return _atom_game(itp, name).legal((), Labmove(lm.player.flip(), lm.move))
+        case And(l, r) | Or(l, r):
+            parsed = split_indexed(lm.move)
+            if parsed is None:
+                return False
+            i, rest = parsed
+            return legal_single(l if i == 1 else r, itp, Labmove(lm.player, rest))
+        case CRec(body) | CCoRec(body) | URec(body) | UCoRec(body):
+            parsed = split_thread(lm.move)
+            if parsed is None or parsed[1] is None:
+                return False
+            return legal_single(body, itp, Labmove(lm.player, parsed[1]))
+        case CirquentGame(c):
+            parsed = split_cell(lm.move, len(c.overgroups))
+            if parsed is None:
+                return False
+            a, coords, rest = parsed
+            if not 1 <= a <= len(c.oformulas):
+                return False
+            for j, u in enumerate(coords, start=1):
+                if a not in c.overgroups[j - 1] and u != "":
+                    return False
+            return legal_single(c.oformulas[a - 1], itp, Labmove(lm.player, rest))
+    raise TypeError(f"not a game expression: {g!r}")
+
+
 def legal_extension_by_projection(g, itp, pos, lm):
     """Is ``pos + lm`` still legal?  Each node below a positional one is
     asked about the projection of the whole position onto every class below
     the move's address."""
     if position_free_by_structure(g, itp):
-        return _legal_single(g, itp, lm)
+        return legal_single(g, itp, lm)
     match g:
         case Atom(name):
             return _atom_game(itp, name).legal(pos, lm)

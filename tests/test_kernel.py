@@ -16,7 +16,6 @@ from colog.kernel import (
     adjudicate,
     bt_structure,
     cells_projections,
-    class_addresses,
     enumeration_game,
     first_illegal,
     format_run,
@@ -30,7 +29,6 @@ from colog.kernel import (
     project_cell,
     project_thread,
     run,
-    split_cell,
     split_thread,
     strip_prefix,
     sum_parity_game,
@@ -56,6 +54,7 @@ from colog.syntax import (
 
 from oracles import (
     cell_projections,
+    class_addresses,
     class_reps,
     leaf_prefix_of,
     leaves_all_pairs,
@@ -145,57 +144,36 @@ class TestProjections:
         assert project_cell(g, 1, ()) == run((BOT, "alpha"), (BOT, "gamma"))
 
 
-def _per_cell_projections(g, a, n_coords):
-    """Reference: the projections of one cell, read straight off the run."""
-    per_coord = [[] for _ in range(n_coords)]
-    parsed = []
-    for lm in g:
-        p = split_cell(lm.move, n_coords)
-        if p is None:
-            continue
-        b, coords, rest = p
-        for j, u in enumerate(coords):
-            per_coord[j].append(u)
-        if b == a:
-            parsed.append((coords, Labmove(lm.player, rest)))
-    tuples = [()]
-    for pool in (class_addresses(us) for us in per_coord):
-        tuples = [t + (addr,) for t in tuples for addr in pool]
-
-    def picks(addr, u):
-        return (addr.startswith(u) if len(u) <= len(addr)
-                else u.startswith(addr) and u[len(addr):].strip("0") == "")
-
-    return [
-        tuple(
-            stripped
-            for coords, stripped in parsed
-            if all(picks(addr, u) for u, addr in zip(coords, xs))
-        )
-        for xs in tuples
-    ]
+def _drawn_run(data, moves):
+    return tuple(data.draw(st.lists(
+        st.builds(Labmove, st.sampled_from([TOP, BOT]), st.sampled_from(moves)),
+        max_size=8)))
 
 
 class TestCellProjections:
-    def test_one_pass_matches_per_cell(self):
-        rng = random.Random(13)
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(st.data())
+    def test_one_pass_matches_per_cell(self, data):
+        # the one joint fold gives the set of per-cell projection vectors
+        # that the joint representatives give, from no more classes
+        n_coords = data.draw(st.integers(0, 3))
+        n_cells = data.draw(st.integers(1, 3))
         addresses = ["", "0", "1", "00", "01", "10", "110"]
-        for _ in range(400):
-            n_coords, n_cells = rng.randint(0, 3), rng.randint(1, 3)
-            moves = [
-                f"{a};{','.join(rng.choice(addresses) for _ in range(n_coords))}.m{i}"
-                for a in range(1, n_cells + 2)  # one cell past the listed ones
-                for i in (1, 2)
-            ]
-            moves.append("junk")
-            g = random_run(rng, rng.randint(0, 8), moves)
-            cells = range(1, n_cells + 1)
-            together = cells_projections(g, cells, n_coords)
-            assert list(together) == list(cells)
-            for a in cells:
-                ref = _per_cell_projections(g, a, n_coords)
-                assert together[a] == ref
-                assert cell_projections(g, a, n_coords) == ref
+        coords = st.lists(st.sampled_from(addresses), min_size=n_coords, max_size=n_coords)
+        moves = data.draw(st.lists(
+            st.builds(lambda a, us, i: f"{a};{','.join(us)}.m{i}",
+                      st.integers(1, n_cells + 1),  # one cell past the listed ones
+                      coords, st.sampled_from([1, 2])),
+            min_size=1, max_size=6)) + ["junk"]
+        g = _drawn_run(data, moves)
+        cells = range(1, n_cells + 1)
+        together = cells_projections(g, cells, n_coords)
+        assert list(together) == list(cells)
+        n_classes = len(together[1])
+        assert all(len(subs) == n_classes for subs in together.values())
+        ref = [cell_projections(g, a, n_coords) for a in cells]
+        assert n_classes <= len(ref[0])
+        assert set(zip(*together.values())) == set(zip(*ref))
 
 
 class TestThreadClasses:
@@ -218,13 +196,18 @@ class TestThreadClasses:
                     member = zeros(addr + suffix) if rng.random() < 0.7 else ones(addr + suffix)
                     assert project_thread(g, member) == rep_proj
 
-    def test_thread_projections_match_reps(self):
-        rng = random.Random(5)
-        moves = ["", "0", "1", "00", "01", "10", "11"]
-        for _ in range(200):
-            g = random_run(rng, rng.randint(0, 5), [f"{w}.m{i}" for w in moves for i in (1, 2)])
-            reps = thread_class_reps(g)
-            assert thread_projections(g) == [project_thread(g, x) for x in reps]
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(st.data())
+    def test_thread_projections_match_reps(self, data):
+        # the fold gives the set of projections that the representatives
+        # give, from no more classes
+        addresses = ["", "0", "1", "00", "01", "10", "11", "011"]
+        moves = [f"{w}.m{i}" for w in addresses for i in (1, 2)] + ["0:", "junk"]
+        g = _drawn_run(data, moves)
+        reps = thread_class_reps(g)
+        projections = thread_projections(g)
+        assert set(projections) == {project_thread(g, x) for x in reps}
+        assert len(projections) <= len(reps)
 
     def test_cirquent_reps_cross_product(self):
         g = run((BOT, "1;1,0.m"),)
@@ -387,6 +370,8 @@ LEGALITY_SHAPES = [
     CirquentGame(make_cirquent([P, CRec(Q)], [{1, 2}], [{1, 2}, {2}])),
     CirquentGame(make_cirquent([OldCRec(P), NegAtom("P"), Q], [{1, 2}, {3}],
                                [{1, 3}, {2}])),
+    # a position-free first cell before a positional one
+    CirquentGame(make_cirquent([Q, P], [{1, 2}], [{1, 2}, {2}])),
 ]
 
 

@@ -23,10 +23,12 @@ from colog.machines import (
     DueMachine,
     MachineStrategy,
     ReplayMachine,
+    Router,
     SilentEnvironment,
     SilentMachine,
     SimConfig,
     Tape,
+    Translator,
     _move_candidates,
     _Play,
     compose_chain,
@@ -335,6 +337,20 @@ def _stack(machine):
     return found
 
 
+def _layers(machine):
+    """The machines of a stack reached through translator and router plays,
+    the ones a restart keeps."""
+    found, todo = [], [machine]
+    while todo:
+        x = todo.pop()
+        found.append(x)
+        if isinstance(x, Router):
+            todo += [p.machine for p in x._plays]
+        elif isinstance(x, Translator):
+            todo.append(x._play.machine)
+    return found
+
+
 def _bot_moves(kind, seed=0):
     machine, game = REPLAY_KINDS[kind]()
     g_run = simulate(machine, random_legal_environment(seed, game, ENUM),
@@ -434,6 +450,22 @@ class TestSharedTape:
         assert not any(m.restarts for m in stack)
         if kind == "nested-promotion":
             assert sum(isinstance(m, ThreadPromotion) for m in stack) > 2
+
+    def test_a_restart_keeps_its_inner_machines(self):
+        # a restart hands each inner machine a new empty tape, not a copy of
+        # it; the inner machine restarts itself there, once
+        machine, game = _nested_promotion()
+        g_run = simulate(machine, random_legal_environment(0, game, ENUM),
+                         SimConfig(horizon=40)).run
+        probe = _nested_promotion()[0]
+        probe.next_moves(g_run)
+        layers = _layers(probe)
+        assert len(g_run) > 30 and len(layers) > 5
+        half = g_run[: len(g_run) // 2]
+        assert probe.next_moves(half) == _nested_promotion()[0].next_moves(half)
+        assert all(x is y for x, y in zip(_layers(probe), layers, strict=True))
+        restarts = [m.restarts for m in _stack(probe)]
+        assert probe.restarts == 1 and sum(restarts) > 1 and max(restarts) == 1
 
     @pytest.mark.parametrize("kind", sorted(REPLAY_KINDS))
     def test_a_cloned_play_keeps_its_machine_on_its_own_tape(self, kind):
